@@ -29,7 +29,7 @@ from .hierarchy import (
     parse_hpda,
     verify_hpda,
 )
-from .pda import PdaFormatError, format_pda, load_pda, mn_pda, parse_pda, verify_pda
+from .pda import PdaFormatError, _write_text, format_pda, load_pda, mn_pda, parse_pda, verify_pda
 from .simulation import DecodingError, DemandVector, simulate, worst_case_demand
 
 EXIT_OK = 0
@@ -38,20 +38,17 @@ EXIT_USAGE = 2
 EXIT_BAD_ARTIFACT = 3
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _cmd_construct_pda(args: argparse.Namespace) -> int:
     try:
         p = mn_pda(args.k, args.t)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(format_pda(p), args.out)
+        return _error(exc, EXIT_USAGE)
+    _write_text(format_pda(p), args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -68,15 +65,13 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
         try:
             h = build_grouping(args.k1, args.k2, args.t)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc, EXIT_USAGE)
     else:
         try:
             outer = load_pda(args.a)
             inner = load_pda(args.b)
         except (OSError, PdaFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc, EXIT_USAGE)
         for name, p in (("outer", outer), ("inner", inner)):
             report = verify_pda(p)
             if not report.valid:
@@ -87,15 +82,10 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
         try:
             h = build_hybrid(outer, inner)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_ARTIFACT
+            return _error(exc, EXIT_BAD_ARTIFACT)
     summary = _summary_line(h)
-    if args.out:
-        Path(args.out).write_text(format_hpda(h))
-        print(summary)
-    else:
-        sys.stdout.write(format_hpda(h))
-        print(summary, file=sys.stderr)
+    _write_text(format_hpda(h), args.out or sys.stdout)
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -103,8 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         text = Path(args.path).read_text()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     first = text.split(None, 1)[0] if text.split() else ""
     try:
         if first == "HPDA":
@@ -119,8 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("error: file is neither a PDA nor an HPDA", file=sys.stderr)
             return EXIT_USAGE
     except PdaFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     if report.valid:
         print(f"valid {label}")
         return EXIT_OK
@@ -139,8 +127,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         h = load_hpda(args.path)
     except (OSError, PdaFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     try:
         if args.demand:
             d = _parse_demand(args.demand, h.k1, h.k2)
@@ -148,8 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             d = worst_case_demand(h.k1, h.k2, args.files)
         result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     except DecodingError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -172,8 +158,8 @@ def _fmt_cell(value, decimals: bool) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
     try:
+        t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
         rows = compare_sweep(args.k1, args.k2, args.n, t_list)
         step = Fraction(args.grid_step)
         searched = []
@@ -192,8 +178,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2)
                 )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
 
     header = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f")
     records = [

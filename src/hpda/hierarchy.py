@@ -21,7 +21,13 @@ from .pda import (
     Cell,
     Pda,
     PdaFormatError,
+    VerificationReport,
     Violation,
+    _occurrences,
+    _parse_cell,
+    _parse_header,
+    _read_text,
+    _write_text,
     column_partition,
     mn_pda,
     pda_shift,
@@ -67,10 +73,7 @@ class MirrorPlacement:
         return sum(1 for row in self.grid if row[k1 - 1] == STAR)
 
 
-@dataclass(frozen=True)
-class HpdaReport:
-    valid: bool
-    violations: tuple[Violation, ...]
+HpdaReport = VerificationReport
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,7 @@ class Hpda:
     blocks: tuple[Pda, ...]
     s_m: frozenset[int]
     s_k: tuple[frozenset[int], ...] = field(init=False)
+    _occurrence_index: dict | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k1 < 1 or self.k2 < 1 or self.f < 1:
@@ -130,16 +134,18 @@ class Hpda:
         """Cell of block k1 at 1-based (row, user column)."""
         return self.blocks[k1 - 1].grid[j - 1][k2 - 1]
 
+    @property
+    def occurrences(self) -> dict[int, list[tuple[int, int, int]]]:
+        """id -> [(mirror, row, user column)] over all blocks, 1-based.
 
-def _occurrence_map(h: Hpda) -> dict[int, list[tuple[int, int, int]]]:
-    """id -> [(mirror, row, user column)] over all blocks, 1-based."""
-    occ: dict[int, list[tuple[int, int, int]]] = {}
-    for g, block in enumerate(h.blocks, start=1):
-        for j, row in enumerate(block.grid, start=1):
-            for c, cell in enumerate(row, start=1):
-                if cell != STAR:
-                    occ.setdefault(cell, []).append((g, j, c))
-    return occ
+        Built on first use and kept: the array is frozen, so it cannot go
+        stale.  It is kept in a declared field, not by ``cached_property``:
+        writing a new key through ``__dict__`` slows every later attribute
+        read of the array on CPython 3.11, which the delivery loops make.
+        """
+        if self._occurrence_index is None:
+            object.__setattr__(self, "_occurrence_index", _occurrences(self.blocks))
+        return self._occurrence_index
 
 
 def verify_hpda(h: Hpda) -> HpdaReport:
@@ -168,7 +174,7 @@ def verify_hpda(h: Hpda) -> HpdaReport:
             violations.append(
                 Violation("B2", (k1, *v.coords), f"block {k1}: {v.condition}: {v.message}")
             )
-    occ = _occurrence_map(h)
+    occ = h.occurrences
     for s in sorted(h.s_m):
         cells = occ.get(s, [])
         owners = {g for g, _, _ in cells}
@@ -226,14 +232,10 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
     bottom, columns left to right, ids running S+1, S+2, ...  Requires
     k2 < t < k1*k2.
     """
-    k = k1 * k2
-    if not k2 < t < k:
-        raise ValueError(f"t must satisfy {k2} < t < {k}, got {t}")
-    q = mn_pda(k, t)
+    _, z1, _ = grouping_params(k1, k2, t)
+    q = mn_pda(k1 * k2, t)
     blocks_q = column_partition(q, k1)
     block_star_rows = [star_rows(b) for b in blocks_q]
-
-    z1 = math.comb(k - k2, t - k2)
     assert all(len(rows) == z1 for rows in block_star_rows)
     starred_sets = [set(rows) for rows in block_star_rows]
     mirror = MirrorPlacement(
@@ -275,14 +277,13 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
 def _assert_grouping_sets(h: Hpda, s: int, t: int) -> None:
     """Scanned per-block id sets must match their closed forms."""
     k = h.k1 * h.k2
-    indexer_ranks = {
-        sub: i for i, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1)
-    }
     expected_size = h.k2 * h.z1 + s - math.comb(k - h.k2, t + 1)
     for g in range(1, h.k1 + 1):
         group = set(range((g - 1) * h.k2 + 1, g * h.k2 + 1))
         inherited = {
-            rank for sub, rank in indexer_ranks.items() if group.intersection(sub)
+            rank
+            for rank, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1)
+            if group.intersection(sub)
         }
         fresh_lo = s + (g - 1) * h.k2 * h.z1
         fresh = set(range(fresh_lo + 1, fresh_lo + h.k2 * h.z1 + 1))
@@ -422,40 +423,19 @@ def hybrid_params(
 def inner_sets_disjoint(outer: Pda, inner: Pda) -> bool:
     """Check the shift layout of :func:`build_hybrid` never reuses an id.
 
-    The id sets of any two distinct shifted copies must be disjoint: copies
-    for distinct outer integers, copies for stars at distinct column
-    positions, copies for stars in distinct columns, and any integer copy
-    against any star copy.
+    Copies replacing equal outer integers are one copy (they share ids by
+    design); every outer star gets its own copy.  These copies are pairwise
+    disjoint exactly when their union holds as many ids as they do together.
     """
-    base = sorted(inner.integer_set())
+    base = inner.integer_set()
     orders = _star_orders(outer)
-    integer_copies = {
-        s: {v + (s - 1) * inner.s for v in base} for s in range(1, outer.s + 1)
-    }
-    star_copies = {}
-    for (c, j), order in orders.items():
-        shift = (c * outer.z + order - 1 + outer.s) * inner.s
-        star_copies[(c, j)] = {v + shift for v in base}
-
-    ids = sorted(integer_copies)
-    for i, s in enumerate(ids):
-        for s2 in ids[i + 1 :]:
-            if integer_copies[s] & integer_copies[s2]:
-                return False
-    keys = sorted(star_copies)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            same_column = a[0] == b[0]
-            distinct_order = orders[a] != orders[b]
-            if same_column and not distinct_order:
-                continue
-            if star_copies[a] & star_copies[b]:
-                return False
-    for s in ids:
-        for key in keys:
-            if integer_copies[s] & star_copies[key]:
-                return False
-    return True
+    shifts = {}
+    for c in range(outer.k):
+        for j in range(outer.f):
+            cell = outer.grid[j][c]
+            shifts[(c, j) if cell == STAR else cell] = _inner_shift(outer, c, j, orders)
+    union = {v + shift * inner.s for shift in shifts.values() for v in base}
+    return len(union) == len(shifts) * len(base)
 
 
 def loads_from_hpda(h: Hpda) -> SchemeLoads:
@@ -483,16 +463,10 @@ def derive_s_m(
     sits on a row that block's mirror caches; serving it from the mirror
     instead of the server is then always legal and never raises either load.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for g, block in enumerate(blocks, start=1):
-        for j, row in enumerate(block.grid, start=1):
-            for cell in row:
-                if cell != STAR:
-                    occ.setdefault(cell, []).append((g, j))
     qualified = set()
-    for s, cells in occ.items():
-        owners = {g for g, _ in cells}
-        if len(owners) == 1 and all(mirror.is_star(j, g) for g, j in cells):
+    for s, cells in _occurrences(blocks).items():
+        owners = {g for g, _, _ in cells}
+        if len(owners) == 1 and all(mirror.is_star(j, g) for g, j, _ in cells):
             qualified.add(s)
     return frozenset(qualified)
 
@@ -510,25 +484,12 @@ def format_hpda(h: Hpda) -> str:
 
 def parse_hpda(text: str) -> Hpda:
     """Parse the text format; id sets are derived from the grids, never stored."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise PdaFormatError("empty input", 1)
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "HPDA":
-        raise PdaFormatError("expected header 'HPDA K1 K2 F Z1 Z2'", 1)
-    try:
-        k1, k2, f, z1, z2 = (int(v) for v in header[1:])
-    except ValueError:
-        raise PdaFormatError("non-integer value in header", 1) from None
-    if len(lines) - 1 != f:
-        raise PdaFormatError(f"expected {f} grid rows, found {len(lines) - 1}", len(lines))
+    (k1, k2, f, z1, z2), grid_lines = _parse_header(text, "HPDA", "K1 K2 F Z1 Z2")
     if k1 < 1 or k2 < 1:
         raise PdaFormatError("K1 and K2 must be positive", 1)
     mirror_rows = []
     block_rows: list[list[list[Cell]]] = [[] for _ in range(k1)]
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(grid_lines, start=2):
         tokens = line.split()
         if len(tokens) != k1 + k1 * k2:
             raise PdaFormatError(
@@ -545,20 +506,16 @@ def parse_hpda(text: str) -> Hpda:
         mirror_rows.append(tuple(mirror_row))
         for g in range(k1):
             start = k1 + g * k2
-            row = []
-            for col, tok in enumerate(tokens[start : start + k2], start=start + 1):
-                if tok == STAR:
-                    row.append(STAR)
-                elif tok.isdigit() and int(tok) >= 1:
-                    row.append(int(tok))
-                else:
-                    raise PdaFormatError(f"invalid block token {tok!r}", lineno, col)
-            block_rows[g].append(row)
+            block_rows[g].append(
+                [
+                    _parse_cell(tok, lineno, col)
+                    for col, tok in enumerate(tokens[start : start + k2], start=start + 1)
+                ]
+            )
     try:
         mirror = MirrorPlacement(grid=tuple(mirror_rows))
         blocks = []
-        for g in range(k1):
-            rows = tuple(tuple(row) for row in block_rows[g])
+        for rows in block_rows:
             distinct = len({c for row in rows for c in row if c != STAR})
             blocks.append(Pda(k=k2, f=f, z=z2, s=distinct, grid=rows))
         s_m = derive_s_m(mirror, tuple(blocks))
@@ -570,16 +527,8 @@ def parse_hpda(text: str) -> Hpda:
 
 
 def save_hpda(h: Hpda, sink: str | Path | IO[str]) -> None:
-    text = format_hpda(h)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
+    _write_text(format_hpda(h), sink)
 
 
 def load_hpda(source: str | Path | IO[str]) -> Hpda:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    return parse_hpda(text)
+    return parse_hpda(_read_text(source))

@@ -146,6 +146,17 @@ class SubsetIndexer:
         return tuple(subset)
 
 
+def _occurrences(blocks: Iterable[Pda]) -> dict[int, list[tuple[int, int, int]]]:
+    """id -> [(block, row, column)] over all blocks, 1-based, in grid order."""
+    occ: dict[int, list[tuple[int, int, int]]] = {}
+    for g, block in enumerate(blocks, start=1):
+        for j, row in enumerate(block.grid, start=1):
+            for c, cell in enumerate(row, start=1):
+                if cell != STAR:
+                    occ.setdefault(cell, []).append((g, j, c))
+    return occ
+
+
 def mn_pda(k: int, t: int) -> Pda:
     """Canonical single-layer array on k users at memory point t/k.
 
@@ -193,32 +204,27 @@ def verify_pda(p: Pda) -> VerificationReport:
             violations.append(
                 Violation("C1", (k + 1,), f"column {k + 1} has {stars} stars, expected {p.z}")
             )
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for j in range(p.f):
-        for k in range(p.k):
-            cell = p.grid[j][k]
-            if cell != STAR:
-                occurrences.setdefault(cell, []).append((j, k))
+    occurrences = _occurrences((p,))
     if len(occurrences) != p.s:
         violations.append(
             Violation("C2", (), f"{len(occurrences)} distinct integers, declared S={p.s}")
         )
     for value, cells in occurrences.items():
-        for (j1, k1), (j2, k2) in combinations(cells, 2):
+        for (_, j1, k1), (_, j2, k2) in combinations(cells, 2):
             if j1 == j2 or k1 == k2:
                 axis = "row" if j1 == j2 else "column"
                 violations.append(
                     Violation(
                         "C3a",
-                        (j1 + 1, k1 + 1, j2 + 1, k2 + 1),
+                        (j1, k1, j2, k2),
                         f"integer {value} repeats in the same {axis}",
                     )
                 )
-            elif p.grid[j1][k2] != STAR or p.grid[j2][k1] != STAR:
+            elif p.grid[j1 - 1][k2 - 1] != STAR or p.grid[j2 - 1][k1 - 1] != STAR:
                 violations.append(
                     Violation(
                         "C3b",
-                        (j1 + 1, k1 + 1, j2 + 1, k2 + 1),
+                        (j1, k1, j2, k2),
                         f"occurrences of {value} lack the star-complement 2x2 pattern",
                     )
                 )
@@ -280,28 +286,40 @@ def format_pda(p: Pda) -> str:
 def _parse_cell(token: str, line: int, column: int) -> Cell:
     if token == STAR:
         return STAR
-    if token.isdigit() and int(token) >= 1:
-        return int(token)
+    if token.isdigit() and token.isascii() and (value := int(token)) >= 1:
+        return value
     raise PdaFormatError(f"invalid cell token {token!r}", line, column)
 
 
-def parse_pda(text: str) -> Pda:
+def _parse_header(text: str, magic: str, fields: str) -> tuple[list[int], list[str]]:
+    """Integer header values and the grid lines of a ``magic`` text.
+
+    ``fields`` names the header values, e.g. ``"K F Z S"``; the one named F
+    fixes how many grid lines must follow.  Trailing blank lines are ignored.
+    """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise PdaFormatError("empty input", 1)
     header = lines[0].split()
-    if len(header) != 5 or header[0] != "PDA":
-        raise PdaFormatError("expected header 'PDA K F Z S'", 1)
+    names = fields.split()
+    if len(header) != len(names) + 1 or header[0] != magic:
+        raise PdaFormatError(f"expected header '{magic} {fields}'", 1)
     try:
-        k, f, z, s = (int(v) for v in header[1:])
+        values = [int(v) for v in header[1:]]
     except ValueError:
         raise PdaFormatError("non-integer value in header", 1) from None
+    f = values[names.index("F")]
     if len(lines) - 1 != f:
         raise PdaFormatError(f"expected {f} grid rows, found {len(lines) - 1}", len(lines))
+    return values, lines[1:]
+
+
+def parse_pda(text: str) -> Pda:
+    (k, f, z, s), grid_lines = _parse_header(text, "PDA", "K F Z S")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(grid_lines, start=2):
         tokens = line.split()
         if len(tokens) != k:
             raise PdaFormatError(f"expected {k} tokens, found {len(tokens)}", lineno)
@@ -314,19 +332,26 @@ def parse_pda(text: str) -> Pda:
         raise PdaFormatError(str(exc)) from None
 
 
-def save_pda(p: Pda, sink: str | Path | IO[str]) -> None:
-    """Write the text format to a path or text stream."""
-    text = format_pda(p)
+def _write_text(text: str, sink: str | Path | IO[str]) -> None:
+    """Write ``text`` to a path or text stream."""
     if hasattr(sink, "write"):
         sink.write(text)
     else:
         Path(sink).write_text(text)
 
 
+def _read_text(source: str | Path | IO[str]) -> str:
+    """Read all text from a path or text stream."""
+    if hasattr(source, "read"):
+        return source.read()
+    return Path(source).read_text()
+
+
+def save_pda(p: Pda, sink: str | Path | IO[str]) -> None:
+    """Write the text format to a path or text stream."""
+    _write_text(format_pda(p), sink)
+
+
 def load_pda(source: str | Path | IO[str]) -> Pda:
     """Parse the text format from a path or text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    return parse_pda(text)
+    return parse_pda(_read_text(source))

@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Mapping
 
-from .hierarchy import Hpda, _occurrence_map
-from .pda import STAR
+from .hierarchy import Hpda
+from .pda import STAR, _write_text
 
 
 class DecodingError(RuntimeError):
@@ -152,7 +152,14 @@ def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
         raise ValueError(f"demand index {max(d.entries)} exceeds library size {lib.n_files}")
 
 
-def _server_signals(h, lib, d, occ) -> list[tuple[int, bytes]]:
+def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
+    """One multicast per id the mirrors cannot serve alone, ascending by id.
+
+    The signal for id s is the XOR over every cell carrying s of the packet
+    (demanded file of that cell's user, cell's row).
+    """
+    _check_inputs(h, lib, d)
+    occ = h.occurrences
     signals = []
     for s in sorted(h.union_integers() - h.s_m):
         payload = bytes(lib.packet_bytes)
@@ -162,17 +169,8 @@ def _server_signals(h, lib, d, occ) -> list[tuple[int, bytes]]:
     return signals
 
 
-def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
-    """One multicast per id the mirrors cannot serve alone, ascending by id.
-
-    The signal for id s is the XOR over every cell carrying s of the packet
-    (demanded file of that cell's user, cell's row).
-    """
-    _check_inputs(h, lib, d)
-    return _server_signals(h, lib, d, _occurrence_map(h))
-
-
-def _mirror_signals(h, lib, d, k1, server_signals, occ, cache) -> list[tuple[int, bytes]]:
+def _mirror_signals(h, lib, d, k1, server_signals, cache) -> list[tuple[int, bytes]]:
+    occ = h.occurrences
     received = dict(server_signals)
     own = h.s_k[k1 - 1]
     signals = []
@@ -214,10 +212,24 @@ def mirror_delivery(
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
     cache = place(h, lib)
-    return _mirror_signals(h, lib, d, k1, server_signals, _occurrence_map(h), cache)
+    return _mirror_signals(h, lib, d, k1, server_signals, cache)
 
 
-def _decode(h, cache, mirror_signals, k1, k2, d, occ) -> bytes:
+def decode_user(
+    h: Hpda,
+    cache: CacheState,
+    mirror_signals: list[tuple[int, bytes]],
+    k1: int,
+    k2: int,
+    d: DemandVector,
+) -> bytes:
+    """Reconstruct the full file requested by user (k1, k2).
+
+    Cached rows are read directly.  For every other row, the mirror signal for
+    that row's id is XORed with the user's cached packets still present in it;
+    what remains is the requested packet.
+    """
+    occ = h.occurrences
     n = d.demand(k1, k2)
     received = dict(mirror_signals)
     block = h.blocks[k1 - 1]
@@ -238,23 +250,6 @@ def _decode(h, cache, mirror_signals, k1, k2, d, occ) -> bytes:
             payload = _xor(payload, cache.user_packet(k1, k2, d.demand(g, cc), jj))
         pieces.append(payload)
     return b"".join(pieces)
-
-
-def decode_user(
-    h: Hpda,
-    cache: CacheState,
-    mirror_signals: list[tuple[int, bytes]],
-    k1: int,
-    k2: int,
-    d: DemandVector,
-) -> bytes:
-    """Reconstruct the full file requested by user (k1, k2).
-
-    Cached rows are read directly.  For every other row, the mirror signal for
-    that row's id is XORed with the user's cached packets still present in it;
-    what remains is the requested packet.
-    """
-    return _decode(h, cache, mirror_signals, k1, k2, d, _occurrence_map(h))
 
 
 @dataclass(frozen=True)
@@ -290,11 +285,7 @@ class Transcript:
         return lines
 
     def dump(self, sink: str | Path | IO[str]) -> None:
-        text = "\n".join(self.dump_lines()) + "\n"
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            Path(sink).write_text(text)
+        _write_text("\n".join(self.dump_lines()) + "\n", sink)
 
 
 @dataclass(frozen=True)
@@ -320,17 +311,15 @@ def simulate(
     if d is None:
         d = worst_case_demand(h.k1, h.k2, n_files)
     lib = FileLibrary.random(n_files, h.f, packet_bytes, seed)
-    _check_inputs(h, lib, d)
-    occ = _occurrence_map(h)
+    server = server_delivery(h, lib, d)
     cache = place(h, lib)
-    server = _server_signals(h, lib, d, occ)
     mirrors = {
-        k1: tuple(_mirror_signals(h, lib, d, k1, server, occ, cache))
+        k1: tuple(_mirror_signals(h, lib, d, k1, server, cache))
         for k1 in range(1, h.k1 + 1)
     }
     transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
     success = all(
-        _decode(h, cache, list(mirrors[k1]), k1, k2, d, occ) == lib.file(d.demand(k1, k2))
+        decode_user(h, cache, list(mirrors[k1]), k1, k2, d) == lib.file(d.demand(k1, k2))
         for k1 in range(1, h.k1 + 1)
         for k2 in range(1, h.k2 + 1)
     )

@@ -125,6 +125,11 @@ def test_verify_parse_failure(tmp_path):
     assert main(["verify", str(path)]) == 2
     path.write_text("PDA 3 3 1 3\n* 1 2\n")
     assert main(["verify", str(path)]) == 2
+    # "²" passes str.isdigit() but not int()
+    path.write_text("PDA 2 1 0 1\n1 \u00b2\n")
+    assert main(["verify", str(path)]) == 2
+    path.write_text("HPDA 1 2 1 0 0\n- 1 \u00b2\n")
+    assert main(["verify", str(path)]) == 2
 
 
 def test_simulate_golden(tmp_path, capsys):
@@ -215,6 +220,11 @@ def test_compare_empty_t_list_table(capsys):
 
 def test_compare_rejects_out_of_range_t(capsys):
     assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "2"]) == 2
+
+
+def test_compare_rejects_non_integer_t(capsys):
+    assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_2():

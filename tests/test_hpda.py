@@ -314,6 +314,8 @@ def test_inner_sets_disjoint_golden_and_sweep():
     uncoded = Pda(k=2, f=2, z=0, s=4, grid=((1, 2), (3, 4)))
     assert verify_pda(uncoded).valid
     assert inner_sets_disjoint(uncoded, mn_pda(3, 1))
+    # inner ids run past the declared S, so neighbouring shifted copies collide
+    assert not inner_sets_disjoint(mn_pda(2, 1), Pda(k=2, f=1, z=0, s=1, grid=((1, 2),)))
     rng = random.Random(11)
     for _ in range(30):
         k1 = rng.randint(1, 5)

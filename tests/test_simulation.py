@@ -1,5 +1,6 @@
 """Placement, XOR delivery, decoding, and measured loads."""
 
+import io
 import random
 from fractions import Fraction
 from functools import reduce
@@ -281,6 +282,9 @@ def test_transcript_dump_roundtrip_stable(golden, tmp_path):
     a.transcript.dump(pa)
     b.transcript.dump(pb)
     assert pa.read_text() == pb.read_text()
+    stream = io.StringIO()
+    a.transcript.dump(stream)
+    assert stream.getvalue() == pa.read_text()
 
 
 def test_library_random_is_seeded():
