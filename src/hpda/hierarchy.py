@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, TYPE_CHECKING, Union
 
 from .pda import (
     STAR,
@@ -34,6 +34,9 @@ from .pda import (
     star_rows,
     verify_pda,
 )
+
+if TYPE_CHECKING:
+    from .plan import DeliveryPlan
 
 MirrorCell = Union[str, None]
 
@@ -106,6 +109,7 @@ class Hpda:
     s_m: frozenset[int]
     s_k: tuple[frozenset[int], ...] = field(init=False)
     _occurrence_index: dict | None = field(init=False, default=None, repr=False, compare=False)
+    _delivery_plan: DeliveryPlan | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k1 < 1 or self.k2 < 1 or self.f < 1:
@@ -141,7 +145,8 @@ class Hpda:
         Built on first use and kept: the array is frozen, so it cannot go
         stale.  It is kept in a declared field, not by ``cached_property``:
         writing a new key through ``__dict__`` slows every later attribute
-        read of the array on CPython 3.11, which the delivery loops make.
+        read of the array on CPython 3.11, which verification makes.  The
+        delivery plan (``hpda.simulation.delivery_plan``) is kept the same way.
         """
         if self._occurrence_index is None:
             object.__setattr__(self, "_occurrence_index", _occurrences(self.blocks))

@@ -1,0 +1,230 @@
+"""Delivery plans: which packets every signal of an HPDA combines.
+
+The grids alone fix which packets go into each server signal, which of them
+each mirror strips and which each user cancels; the demand only picks the
+files.  :func:`compile_plan` turns an array into that plan once, and the
+delivery stages in :mod:`hpda.simulation` execute it for any demand.
+
+A term names one packet of a delivery: term ``((k1 - 1) * K2 + k2 - 1) * F +
+j - 1`` is packet row j of the file that user (k1, k2) demands.  The plan holds
+runs of terms in flat ``array('i')`` buffers, one run per signal or per row a
+user decodes, and each payload is one XOR reduction over its run.
+
+Caches are honest: the compile checks every term a mirror or a user would
+combine against that receiver's grid, and records the failure of a receiver
+that would need a packet it neither caches nor can cancel.
+"""
+
+from __future__ import annotations
+
+from array import array
+from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, itemgetter, sub, xor
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .pda import STAR, _occurrences
+
+if TYPE_CHECKING:
+    from .hierarchy import Hpda
+
+# Named explicitly: int.from_bytes has no default byte order before Python 3.11.
+BYTEORDER = "big"
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_CODES = bytes.maketrans(b"\x00\x01", b"\x02\x01")
+
+
+class Runs(NamedTuple):
+    """One run of terms per id: the run of ``ids[i]`` is
+    ``terms[offsets[i]:offsets[i + 1]]``."""
+
+    ids: tuple[int, ...]
+    offsets: array
+    terms: array
+
+    def payloads(
+        self, packets: Sequence[bytes], size: int, starts: Iterable[bytes] | None = None
+    ) -> list[bytes]:
+        """Each run's packets XORed into its start payload, or into zeros.
+
+        ``packets`` holds the packet of every term, in term order, each
+        ``size`` bytes long.  Payloads are ints only inside this call.
+        """
+        get, terms = packets.__getitem__, self.terms
+        ints = repeat(0) if starts is None else map(int.from_bytes, starts, repeat(BYTEORDER))
+        values = [
+            reduce(xor, map(int.from_bytes, map(get, terms[lo:hi]), repeat(BYTEORDER)), start)
+            if lo != hi
+            else start
+            for start, lo, hi in zip(ints, self.offsets, self.offsets[1:])
+        ]
+        return list(map(int.to_bytes, values, repeat(size), repeat(BYTEORDER)))
+
+
+def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """``seq[i]`` for every i in ``indices``, in one C-level call."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
+
+
+def _runs(ids: list[int], terms: dict[int, list[int]], keep: bytes) -> Runs:
+    """The runs of ``ids``, holding only the terms t with ``keep[t]`` set."""
+    flat = list(chain.from_iterable(map(terms.__getitem__, ids)))
+    flags = bytes(_gather(keep, flat))
+    bounds = list(accumulate(map(len, map(terms.__getitem__, ids)), initial=0))
+    counts = map(bytes.count, map(flags.__getitem__, map(slice, bounds, bounds[1:])), repeat(1))
+    return Runs(
+        ids=tuple(ids),
+        offsets=array("i", accumulate(counts, initial=0)),
+        terms=array("i", compress(flat, flags)),
+    )
+
+
+class UserPlan(NamedTuple):
+    """How one user rebuilds its file.
+
+    ``cancel`` has one run per uncached row, rows ascending: the packets the
+    user XORs out of the mirror's signal for that row's id.  Cached rows are
+    read directly.  Row j of the file is ``(cached + decoded)[order[j]]``.
+    """
+
+    cancel: Runs
+    cached_rows: array
+    order: array
+    failure: str | None
+
+
+class MirrorPlan(NamedTuple):
+    """One mirror's delivery, and its users'.
+
+    ``strip`` holds, for each id received from the server, the packets of other
+    blocks this mirror caches and XORs out; ``local`` holds, for each
+    mirror-only id, the packets it sends from its own cache.
+    """
+
+    strip: Runs
+    local: Runs
+    users: tuple[UserPlan, ...]
+    failure: str | None
+
+
+class DeliveryPlan(NamedTuple):
+    """The delivery an HPDA fixes, as runs of packet terms, for any demand.
+
+    Built once per array by :func:`hpda.simulation.delivery_plan`.  Every
+    term was checked against the grid of the receiver that combines it, and a
+    mirror or user that would need a packet it cannot get carries, as
+    ``failure``, the message of the ``DecodingError`` its stage raises.  The
+    plan's counts give the loads without building any payload.
+    """
+
+    f: int
+    server: Runs
+    mirrors: tuple[MirrorPlan, ...]
+
+    @property
+    def r1(self) -> Fraction:
+        return Fraction(len(self.server.ids), self.f)
+
+    @property
+    def r2(self) -> Fraction:
+        return max(Fraction(len(m.strip.ids) + len(m.local.ids), self.f) for m in self.mirrors)
+
+    @property
+    def terms(self) -> int:
+        """Packets XORed into payloads by the server, the mirrors and the users."""
+        return len(self.server.terms) + sum(
+            len(m.strip.terms) + len(m.local.terms) + sum(len(u.cancel.terms) for u in m.users)
+            for m in self.mirrors
+        )
+
+
+def compile_plan(h: Hpda) -> DeliveryPlan:
+    """Runs and honesty checks of every stage, from the grids alone."""
+    f, k2 = h.f, h.k2
+    # A scan made here is dropped as soon as it is read: the occurrence index
+    # is far larger than the plan.
+    terms = {
+        s: [((g - 1) * k2 + c - 1) * f + j - 1 for g, j, c in cells]
+        for s, cells in (h._occurrence_index or _occurrences(h.blocks)).items()
+    }
+    server = _runs(sorted(h.union_integers() - h.s_m), terms, b"\x01" * (h.k1 * k2 * f))
+    mirror_columns = tuple(zip(*h.mirror.grid))
+    mirrors = tuple(_compile_mirror(h, g, mirror_columns[g], terms) for g in range(h.k1))
+    return DeliveryPlan(f=f, server=server, mirrors=mirrors)
+
+
+def _compile_mirror(h: Hpda, g: int, column: tuple, terms: dict[int, list[int]]) -> MirrorPlan:
+    """Plan of mirror g + 1 (0-based g); masks are indexed by term."""
+    f, k2, users = h.f, h.k2, h.k1 * h.k2
+    star = bytes(map(eq, column, repeat(STAR)))
+    none, every = bytes(k2 * f), b"\x01" * (k2 * f)
+
+    def by_block(own: bytes, other: bytes) -> bytes:
+        return b"".join(own if b == g else other for b in range(h.k1))
+
+    ids = h.s_k[g]
+    strip = _runs(sorted(ids - h.s_m), terms, by_block(none, star * k2))
+    local = _runs(sorted(ids & h.s_m), terms, by_block(every, none))
+    # What is left of each signal of this mirror, which its users cancel.
+    kept = _runs(sorted(ids), terms, by_block(every, star.translate(_FLIP) * k2))
+    cached = star * users
+    failure = None
+    if sum(_gather(cached, local.terms)) != len(local.terms):
+        bad = next(t for t in local.terms if not cached[t])
+        failure = f"mirror {g + 1} does not cache packet row {bad % f + 1}"
+    run_of = dict(zip(kept.ids, map(slice, kept.offsets, kept.offsets[1:])))
+    cut_of = dict(zip(kept.ids, map(sub, map(sub, kept.offsets[1:], kept.offsets), repeat(1))))
+    plans = tuple(
+        _compile_user(h, g * k2 + c, user_column, kept.terms, run_of, cut_of)
+        for c, user_column in enumerate(zip(*h.blocks[g].grid))
+    )
+    return MirrorPlan(strip=strip, local=local, users=plans, failure=failure)
+
+
+def _compile_user(
+    h: Hpda,
+    slot: int,
+    column: tuple,
+    kept: array,
+    run_of: dict[int, slice],
+    cut_of: dict[int, int],
+) -> UserPlan:
+    """Plan of the user in term slot ``slot``, whose grid column is ``column``.
+
+    The signal for id s leaves ``kept[run_of[s]]`` to cancel: the user's own
+    wanted packet and ``cut_of[s]`` others.
+    """
+    f, k2, users = h.f, h.k2, h.k1 * h.k2
+    starred = bytes(map(eq, column, repeat(STAR)))
+    uncached = starred.translate(_FLIP)
+    ids = tuple(compress(column, uncached))
+    runs = list(chain.from_iterable(map(kept.__getitem__, map(run_of.__getitem__, ids))))
+    # Per term: 0 for a packet of the user's own file, 1 on a row it caches,
+    # 2 on a row it does not.  It decodes when every run holds exactly one 0,
+    # its own wanted packet, and no 2.
+    row_codes = starred.translate(_CODES)
+    codes = _gather(row_codes * slot + bytes(f) + row_codes * (users - slot - 1), runs)
+    failure = None
+    if codes.count(0) != len(ids) or 2 in codes:
+        rows = compress(range(f), uncached)
+        failure = next(
+            f"user ({slot // k2 + 1},{slot % k2 + 1}) does not cache packet row {t % f + 1}"
+            for j, s in zip(rows, ids)
+            for t in kept[run_of[s]]
+            if t != slot * f + j and not starred[t % f]
+        )
+    cached_rows = array("i", compress(range(f), starred))
+    rows = cached_rows.tolist() + list(compress(range(f), uncached))
+    return UserPlan(
+        cancel=Runs(
+            ids=ids,
+            offsets=array("i", accumulate(map(cut_of.__getitem__, ids), initial=0)),
+            terms=array("i", compress(runs, codes)),
+        ),
+        cached_rows=cached_rows,
+        order=array("i", sorted(range(f), key=rows.__getitem__)),
+        failure=failure,
+    )

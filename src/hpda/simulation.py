@@ -1,10 +1,17 @@
 """Bit-exact cache placement, XOR delivery, and decoding driven by an HPDA.
 
-Packets are byte strings; every signal is a byte-wise XOR of library packets.
-Caches are honest: a receiver may only touch packets at rows its placement
-grid starred, and decoding fails loudly (``DecodingError``) whenever a packet
-can be neither read from cache nor cancelled, which flags an invalid array or
-transcript rather than silently producing garbage.
+Every signal is a byte-wise XOR of library packets.  The grids alone fix which
+packets each signal combines; the demand only picks the files.  So each array
+is compiled once, on its first delivery, into a delivery plan of packet terms
+(:mod:`hpda.plan`), and the stages below execute it: every payload is one XOR
+reduction over a run of terms.
+
+Caches are honest: a receiver may only combine packets at rows its placement
+grid starred.  The plan checks every term once, when it is built, and the
+delivery stage that would need a forbidden packet raises ``DecodingError``,
+which flags an invalid array or transcript rather than silently producing
+garbage.  Payloads are ``bytes`` in the library and on the wire; they are ints
+only inside a reduction.
 """
 
 from __future__ import annotations
@@ -12,19 +19,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import add
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .hierarchy import Hpda
 from .pda import STAR, _write_text
 
+if TYPE_CHECKING:
+    from .plan import DeliveryPlan
+
 
 class DecodingError(RuntimeError):
     """A receiver needed a packet it neither cached nor could cancel."""
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass(frozen=True)
@@ -44,22 +52,24 @@ class FileLibrary:
         for n, rows in enumerate(self.packets, start=1):
             if len(rows) != self.f:
                 raise ValueError(f"file {n} has {len(rows)} packets, expected {self.f}")
-            if any(len(p) != self.packet_bytes for p in rows):
+            if set(map(len, rows)) != {self.packet_bytes}:
                 raise ValueError(f"file {n} holds packets of uneven size")
 
     @classmethod
     def random(cls, n_files: int, f: int, packet_bytes: int, seed: int) -> FileLibrary:
         """Seeded pseudo-random payloads; identical seeds give identical bytes."""
         rng = random.Random(seed)
-        blob = rng.randbytes(n_files * f * packet_bytes)
-        packets = tuple(
-            tuple(
-                blob[(n * f + j) * packet_bytes : (n * f + j + 1) * packet_bytes]
-                for j in range(f)
-            )
-            for n in range(n_files)
-        )
-        return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=packets)
+        files: list[tuple[bytes, ...]] = []
+        # Drawn four files at a time, which bounds the transient blob.  The
+        # bytes equal one draw of the whole library: randbytes consumes whole
+        # 32-bit words, and four files always span a whole number of them.
+        for first in range(0, n_files, 4):
+            drawn = min(4, n_files - first)
+            blob = rng.randbytes(drawn * f * packet_bytes)
+            cuts = range(0, len(blob) + packet_bytes, packet_bytes)
+            packets = map(blob.__getitem__, map(slice, cuts, cuts[1:]))
+            files.extend(tuple(islice(packets, f)) for _ in range(drawn))
+        return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=tuple(files))
 
     @classmethod
     def zeros(cls, n_files: int, f: int, packet_bytes: int) -> FileLibrary:
@@ -105,25 +115,12 @@ def worst_case_demand(k1: int, k2: int, n_files: int) -> DemandVector:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Per-mirror and per-user cached packet rows (shared across all files).
-
-    Payload access goes through the guarded accessors so that no consumer can
-    read a packet its placement did not cache.
-    """
+    """Per-mirror and per-user cached packet rows (shared across all files),
+    and the library they were filled from."""
 
     library: FileLibrary
     mirror_rows: Mapping[int, frozenset[int]]
     user_rows: Mapping[tuple[int, int], frozenset[int]]
-
-    def mirror_packet(self, k1: int, n: int, j: int) -> bytes:
-        if j not in self.mirror_rows[k1]:
-            raise DecodingError(f"mirror {k1} does not cache packet row {j}")
-        return self.library.packet(n, j)
-
-    def user_packet(self, k1: int, k2: int, n: int, j: int) -> bytes:
-        if j not in self.user_rows[(k1, k2)]:
-            raise DecodingError(f"user ({k1},{k2}) does not cache packet row {j}")
-        return self.library.packet(n, j)
 
 
 def place(h: Hpda, lib: FileLibrary) -> CacheState:
@@ -143,6 +140,18 @@ def place(h: Hpda, lib: FileLibrary) -> CacheState:
     return CacheState(library=lib, mirror_rows=mirror_rows, user_rows=user_rows)
 
 
+def delivery_plan(h: Hpda) -> DeliveryPlan:
+    """The array's :class:`hpda.plan.DeliveryPlan`, compiled on its first
+    delivery and kept on the array."""
+    if h._delivery_plan is None:
+        # Imported here, so that commands which never deliver (verify,
+        # compare) do not load and compile the plan module.
+        from .plan import compile_plan
+
+        object.__setattr__(h, "_delivery_plan", compile_plan(h))
+    return h._delivery_plan
+
+
 def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
     if lib.f != h.f:
         raise ValueError(f"library subpacketization {lib.f} != array F {h.f}")
@@ -152,6 +161,58 @@ def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
         raise ValueError(f"demand index {max(d.entries)} exceeds library size {lib.n_files}")
 
 
+def _demanded(lib: FileLibrary, d: DemandVector) -> list[bytes]:
+    """The packet of every term, in term order."""
+    return list(chain.from_iterable(lib.packets[n - 1] for n in d.entries))
+
+
+def _server_signals(plan: DeliveryPlan, packets: list[bytes], size: int) -> list[tuple[int, bytes]]:
+    """Stage executors take ``packets``, the packet of every term in term
+    order (see :mod:`hpda.plan`), and ``size``, the bytes in a packet."""
+    return list(zip(plan.server.ids, plan.server.payloads(packets, size)))
+
+
+def _mirror_signals(
+    plan: DeliveryPlan,
+    k1: int,
+    server_signals: Iterable[tuple[int, bytes]],
+    packets: list[bytes],
+    size: int,
+) -> list[tuple[int, bytes]]:
+    mirror = plan.mirrors[k1 - 1]
+    received = dict(server_signals)
+    try:
+        starts = list(map(received.__getitem__, mirror.strip.ids))
+    except KeyError as exc:
+        raise ValueError(f"missing server signal for id {exc.args[0]}") from None
+    if mirror.failure:
+        raise DecodingError(mirror.failure)
+    payloads = mirror.strip.payloads(packets, size, starts) + mirror.local.payloads(packets, size)
+    return list(zip(mirror.strip.ids + mirror.local.ids, payloads))
+
+
+def _decode(
+    plan: DeliveryPlan,
+    k1: int,
+    k2: int,
+    mirror_signals: Iterable[tuple[int, bytes]],
+    packets: list[bytes],
+    wanted: Sequence[bytes],
+) -> bytes:
+    """The file of user (k1, k2), whose own file's packets are ``wanted``."""
+    user = plan.mirrors[k1 - 1].users[k2 - 1]
+    if user.failure:
+        raise DecodingError(user.failure)
+    received = dict(mirror_signals)
+    try:
+        starts = list(map(received.__getitem__, user.cancel.ids))
+    except KeyError as exc:
+        raise DecodingError(f"no signal from mirror {k1} for id {exc.args[0]}") from None
+    pieces = list(map(wanted.__getitem__, user.cached_rows))
+    pieces += user.cancel.payloads(packets, len(wanted[0]), starts)
+    return b"".join(map(pieces.__getitem__, user.order))
+
+
 def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
     """One multicast per id the mirrors cannot serve alone, ascending by id.
 
@@ -159,39 +220,7 @@ def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[in
     (demanded file of that cell's user, cell's row).
     """
     _check_inputs(h, lib, d)
-    occ = h.occurrences
-    signals = []
-    for s in sorted(h.union_integers() - h.s_m):
-        payload = bytes(lib.packet_bytes)
-        for g, j, c in occ[s]:
-            payload = _xor(payload, lib.packet(d.demand(g, c), j))
-        signals.append((s, payload))
-    return signals
-
-
-def _mirror_signals(h, lib, d, k1, server_signals, cache) -> list[tuple[int, bytes]]:
-    occ = h.occurrences
-    received = dict(server_signals)
-    own = h.s_k[k1 - 1]
-    signals = []
-    for s in sorted(own - h.s_m):
-        if s not in received:
-            raise ValueError(f"missing server signal for id {s}")
-        payload = received[s]
-        for g, j, c in occ[s]:
-            # Strip packets this mirror cached so its users face at most
-            # what their own caches cover.
-            if g != k1 and h.mirror.is_star(j, k1):
-                payload = _xor(payload, cache.mirror_packet(k1, d.demand(g, c), j))
-        signals.append((s, payload))
-    for s in sorted(own & h.s_m):
-        payload = bytes(lib.packet_bytes)
-        for g, j, c in occ[s]:
-            if g != k1:
-                continue
-            payload = _xor(payload, cache.mirror_packet(k1, d.demand(g, c), j))
-        signals.append((s, payload))
-    return signals
+    return _server_signals(delivery_plan(h), _demanded(lib, d), lib.packet_bytes)
 
 
 def mirror_delivery(
@@ -211,8 +240,9 @@ def mirror_delivery(
     _check_inputs(h, lib, d)
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
-    cache = place(h, lib)
-    return _mirror_signals(h, lib, d, k1, server_signals, cache)
+    return _mirror_signals(
+        delivery_plan(h), k1, server_signals, _demanded(lib, d), lib.packet_bytes
+    )
 
 
 def decode_user(
@@ -225,31 +255,21 @@ def decode_user(
 ) -> bytes:
     """Reconstruct the full file requested by user (k1, k2).
 
-    Cached rows are read directly.  For every other row, the mirror signal for
-    that row's id is XORed with the user's cached packets still present in it;
-    what remains is the requested packet.
+    Cached rows are read directly from ``cache``'s library, at the rows the
+    user's grid stars.  For every other row, the mirror signal for that row's
+    id is XORed with the user's cached packets still present in it; what
+    remains is the requested packet.
     """
-    occ = h.occurrences
-    n = d.demand(k1, k2)
-    received = dict(mirror_signals)
-    block = h.blocks[k1 - 1]
-    pieces = []
-    for j in range(1, h.f + 1):
-        cell = block.grid[j - 1][k2 - 1]
-        if cell == STAR:
-            pieces.append(cache.user_packet(k1, k2, n, j))
-            continue
-        if cell not in received:
-            raise DecodingError(f"no signal from mirror {k1} for id {cell}")
-        payload = received[cell]
-        for g, jj, cc in occ[cell]:
-            if (g, jj, cc) == (k1, j, k2):
-                continue
-            if g != k1 and h.mirror.is_star(jj, k1):
-                continue  # already cancelled by the mirror
-            payload = _xor(payload, cache.user_packet(k1, k2, d.demand(g, cc), jj))
-        pieces.append(payload)
-    return b"".join(pieces)
+    plan = delivery_plan(h)
+    # The plan checked every row the user reads against its grid; the cache
+    # handed in must hold those rows too.
+    rows = frozenset(map(add, plan.mirrors[k1 - 1].users[k2 - 1].cached_rows, repeat(1)))
+    missing = rows - cache.user_rows[(k1, k2)]
+    if missing:
+        raise DecodingError(f"user ({k1},{k2}) does not cache packet row {min(missing)}")
+    lib = cache.library
+    wanted = lib.packets[d.demand(k1, k2) - 1]
+    return _decode(plan, k1, k2, mirror_signals, _demanded(lib, d), wanted)
 
 
 @dataclass(frozen=True)
@@ -303,7 +323,7 @@ def simulate(
     d: DemandVector | None = None,
     seed: int = 0,
 ) -> SimulationResult:
-    """Run placement and both delivery rounds, then decode every user.
+    """Run both delivery rounds from the array's plan, then decode every user.
 
     The library is seeded pseudo-random; ``success`` means every user
     reconstructed its requested file byte for byte.
@@ -311,15 +331,18 @@ def simulate(
     if d is None:
         d = worst_case_demand(h.k1, h.k2, n_files)
     lib = FileLibrary.random(n_files, h.f, packet_bytes, seed)
-    server = server_delivery(h, lib, d)
-    cache = place(h, lib)
+    _check_inputs(h, lib, d)
+    plan = delivery_plan(h)
+    packets = _demanded(lib, d)
+    server = _server_signals(plan, packets, packet_bytes)
     mirrors = {
-        k1: tuple(_mirror_signals(h, lib, d, k1, server, cache))
+        k1: tuple(_mirror_signals(plan, k1, server, packets, packet_bytes))
         for k1 in range(1, h.k1 + 1)
     }
     transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
     success = all(
-        decode_user(h, cache, list(mirrors[k1]), k1, k2, d) == lib.file(d.demand(k1, k2))
+        _decode(plan, k1, k2, mirrors[k1], packets, lib.packets[d.demand(k1, k2) - 1])
+        == lib.file(d.demand(k1, k2))
         for k1 in range(1, h.k1 + 1)
         for k2 in range(1, h.k2 + 1)
     )

@@ -29,6 +29,7 @@ from hpda import (
     lower_bound_r1,
     mn_pda,
     optimal_r2,
+    delivery_plan,
     r_d,
     search_min_r1,
     simulate,
@@ -322,6 +323,29 @@ def test_criterion_09_decodability_and_mutation_rejection():
         f"(decode failures {decode_failures}, surviving mutants {surviving_mutants})",
     )
     assert ok
+
+
+def test_plan_loads_agree_with_every_source():
+    """Closed form = id-set scan = delivery-plan count = transcript count, on
+    criterion 9's arrays."""
+    failures = []
+    cases = [(("grouping", *key), h, grouping_params(*key)[0]) for key, h in grouping_arrays()]
+    for key, h in hybrid_pairs():
+        a, b = mn_pda(*key[:2]), mn_pda(*key[2:])
+        formula = hybrid_params((a.k, a.f, a.z, a.s), (b.k, b.f, b.z, b.s))
+        cases.append((("hybrid", *key), h, formula))
+    for key, h, formula in cases:
+        scanned = loads_from_hpda(h)
+        plan = delivery_plan(h)
+        result = simulate(h, h.k1 * h.k2, 4, seed=9)
+        if not (
+            result.success
+            and formula.r1 == scanned.r1 == plan.r1 == result.r1
+            and formula.r2 == scanned.r2 == plan.r2 == result.r2
+        ):
+            failures.append(key)
+    assert len(cases) == 116
+    assert not failures, failures
 
 
 def test_criterion_10_reduced_scale_ordering():

@@ -1,19 +1,27 @@
 """Placement, XOR delivery, decoding, and measured loads."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+import hpda.plan
+import hpda.simulation
 from hpda import (
+    STAR,
+    CacheState,
     DecodingError,
     DemandVector,
     FileLibrary,
     build_grouping,
     build_hybrid,
     decode_user,
+    delivery_plan,
     mirror_delivery,
     mn_pda,
     place,
@@ -21,6 +29,9 @@ from hpda import (
     simulate,
     worst_case_demand,
 )
+
+from test_acceptance import _mutate_hpda
+from test_hpda import golden_15x9
 
 
 def xor(*packets):
@@ -164,6 +175,17 @@ def test_decode_from_cache_only_when_block_column_all_stars():
     assert got == lib.file(d.demand(1, 1))
 
 
+def test_decode_rejects_cache_missing_a_read_row(golden):
+    h, lib, d = golden
+    cache = place(h, lib)
+    signals = mirror_delivery(h, lib, d, 1, server_delivery(h, lib, d))
+    rows = dict(cache.user_rows)
+    rows[(1, 1)] = cache.user_rows[(1, 1)] - {9}
+    foreign = CacheState(library=lib, mirror_rows=cache.mirror_rows, user_rows=rows)
+    with pytest.raises(DecodingError, match=r"user \(1,1\) does not cache packet row 9"):
+        decode_user(h, foreign, signals, 1, 1, d)
+
+
 def test_decode_fails_loudly_without_signals(golden):
     h, lib, d = golden
     cache = place(h, lib)
@@ -301,3 +323,151 @@ def test_library_validation():
         FileLibrary(n_files=1, f=2, packet_bytes=2, packets=((b"ab",),))
     with pytest.raises(ValueError):
         FileLibrary(n_files=1, f=1, packet_bytes=2, packets=((b"abc",),))
+
+
+def test_library_random_is_one_draw_of_the_whole_library():
+    for n_files, f, packet_bytes in [(1, 1, 1), (5, 3, 3), (9, 7, 5), (6, 15, 2), (10, 1, 13)]:
+        blob = random.Random(77).randbytes(n_files * f * packet_bytes)
+        lib = FileLibrary.random(n_files, f, packet_bytes, seed=77)
+        assert b"".join(lib.file(n) for n in range(1, n_files + 1)) == blob
+
+
+def test_mirror_delivery_and_simulate_never_place(golden, monkeypatch):
+    h, lib, d = golden
+    calls = []
+    monkeypatch.setattr(hpda.simulation, "place", lambda *args: calls.append(args))
+    server = server_delivery(h, lib, d)
+    for k1 in (1, 2, 3):
+        mirror_delivery(h, lib, d, k1, server)
+    simulate(h, 6, 8, d, seed=3)
+    assert calls == []
+
+
+def test_plan_compiled_once_per_array(monkeypatch):
+    compile_plan = hpda.plan.compile_plan
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return compile_plan(h)
+
+    monkeypatch.setattr(hpda.plan, "compile_plan", counting)
+    h = build_grouping(3, 2, 4)
+    first = simulate(h, 6, 8, seed=1)
+    second = simulate(h, 6, 8, seed=2)
+    assert first.success and second.success
+    assert len(calls) == 1
+    assert delivery_plan(h) is delivery_plan(h)
+
+
+def grid_term_count(h):
+    """Packets XORed by the server, the mirrors and the users, counted from
+    the grids with the delivery rules alone."""
+    occ = {}
+    for g, block in enumerate(h.blocks, start=1):
+        for j, row in enumerate(block.grid, start=1):
+            for c, cell in enumerate(row, start=1):
+                if cell != STAR:
+                    occ.setdefault(cell, []).append((g, j, c))
+    star = h.mirror.is_star
+    terms = sum(len(occ[s]) for s in h.union_integers() - h.s_m)
+    for k1 in range(1, h.k1 + 1):
+        own = h.s_k[k1 - 1]
+        terms += sum(1 for s in own - h.s_m for g, j, _ in occ[s] if g != k1 and star(j, k1))
+        terms += sum(1 for s in own & h.s_m for g, _, _ in occ[s] if g == k1)
+        for k2 in range(1, h.k2 + 1):
+            for j, row in enumerate(h.blocks[k1 - 1].grid, start=1):
+                cell = row[k2 - 1]
+                if cell != STAR:
+                    terms += sum(
+                        1
+                        for g, jj, cc in occ[cell]
+                        if (g, jj, cc) != (k1, j, k2) and not (g != k1 and star(jj, k1))
+                    )
+    return terms
+
+
+def test_plan_module_loads_on_first_delivery_only():
+    code = (
+        "import sys, hpda\n"
+        "hpda.verify_hpda(hpda.build_grouping(3, 2, 4))\n"
+        "assert 'hpda.plan' not in sys.modules\n"
+        "hpda.simulate(hpda.build_grouping(3, 2, 4), 6, 4)\n"
+        "assert 'hpda.plan' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_plan_terms_match_grid_count():
+    for h in (golden_15x9(), build_grouping(2, 3, 5), build_hybrid(mn_pda(2, 1), mn_pda(3, 1)),
+              build_hybrid(mn_pda(3, 2), mn_pda(4, 2))):
+        plan = delivery_plan(h)
+        assert plan.terms == grid_term_count(h)
+
+
+def test_plan_terms_of_grouping_4_4_8():
+    assert delivery_plan(build_grouping(4, 4, 8)).terms == 887_040
+
+
+# What simulate did with each seeded mutant below before the delivery plan
+# existed, when caches were checked on every packet read.
+MUTANT_OUTCOMES = (
+    "decodes",
+    "decodes",
+    "DecodingError: mirror 1 does not cache packet row 12",
+    "decodes",
+    "decodes",
+    "decodes",
+    "DecodingError: user (1,1) does not cache packet row 14",
+    "DecodingError: mirror 1 does not cache packet row 1",
+    "DecodingError: mirror 1 does not cache packet row 11",
+    "DecodingError: user (1,1) does not cache packet row 6",
+    "decodes",
+    "DecodingError: user (1,1) does not cache packet row 3",
+    "decodes",
+    "DecodingError: user (2,2) does not cache packet row 3",
+    "DecodingError: user (2,1) does not cache packet row 6",
+    "DecodingError: user (1,1) does not cache packet row 3",
+    "decodes",
+    "decodes",
+    "decodes",
+    "DecodingError: user (1,1) does not cache packet row 2",
+    "fails",
+    "DecodingError: mirror 2 does not cache packet row 6",
+    "decodes",
+    "DecodingError: mirror 2 does not cache packet row 5",
+    "decodes",
+    "DecodingError: mirror 2 does not cache packet row 6",
+    "fails",
+    "DecodingError: user (1,2) does not cache packet row 4",
+    "decodes",
+    "DecodingError: mirror 2 does not cache packet row 5",
+    "DecodingError: mirror 2 does not cache packet row 10",
+    "decodes",
+    "DecodingError: user (2,1) does not cache packet row 4",
+    "DecodingError: mirror 2 does not cache packet row 2",
+    "decodes",
+    "decodes",
+    "decodes",
+    "decodes",
+    "decodes",
+    "decodes",
+)
+
+
+def _outcome(h, seed):
+    try:
+        result = simulate(h, h.k1 * h.k2, 4, seed=seed)
+    except (DecodingError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "decodes" if result.success else "fails"
+
+
+def test_mutant_outcomes_unchanged():
+    rng = random.Random(5)
+    goldens = (golden_15x9(), build_hybrid(mn_pda(2, 1), mn_pda(3, 1)))
+    outcomes = tuple(
+        _outcome(_mutate_hpda(goldens[i % 2], rng), i) for i in range(len(MUTANT_OUTCOMES))
+    )
+    assert outcomes == MUTANT_OUTCOMES
