@@ -1,8 +1,9 @@
 """Closed-form load baselines, the first-layer lower bound, and comparison sweeps.
 
 All arithmetic is exact: memory sizes, split points and loads are
-``fractions.Fraction`` throughout, with floats only ever produced by callers
-for display.  Non-lattice memory ratios are handled by memory sharing, i.e.
+``fractions.Fraction`` throughout (the grid search scans exact integer
+numerator/denominator pairs), with floats only ever produced by callers for
+display.  Non-lattice memory ratios are handled by memory sharing, i.e.
 the lower convex envelope of the lattice loads (linear interpolation between
 adjacent lattice points); ratios that exceed 1 inside a split term clamp to 1,
 meaning that subsystem caches everything and contributes zero load.
@@ -70,6 +71,23 @@ class SplitPoint:
             raise ValueError("alpha and beta must lie in [0, 1]")
 
 
+def _rc_terms(num: int, den: int, k: int) -> tuple[int, int]:
+    """``r_c(num/den, k)`` as an unreduced (numerator, denominator) pair.
+
+    ``num >= den`` is a full cache, load (0, 1); otherwise 0 <= num < den.
+    """
+    if num >= den:
+        return 0, 1
+    t0, rem = divmod(num * k, den)
+    if rem == 0:
+        return k - t0, t0 + 1
+    # (1 - lam)*lo + lam*hi with lam = rem/den, over one common denominator
+    return (
+        (den - rem) * (k - t0) * (t0 + 2) + rem * (k - t0 - 1) * (t0 + 1),
+        den * (t0 + 1) * (t0 + 2),
+    )
+
+
 def r_c(m_ratio: Rational, k: int) -> Fraction:
     """Single-layer coded-caching load at memory ratio m for k users.
 
@@ -81,14 +99,7 @@ def r_c(m_ratio: Rational, k: int) -> Fraction:
         raise ValueError("k must be positive")
     if not 0 <= m <= 1:
         raise ValueError(f"memory ratio {m} outside [0, 1]")
-    scaled = m * k
-    t0 = math.floor(scaled)
-    lo = Fraction(k - t0, t0 + 1)
-    if scaled == t0:
-        return lo
-    hi = Fraction(k - t0 - 1, t0 + 2)
-    lam = scaled - t0
-    return (1 - lam) * lo + lam * hi
+    return Fraction(*_rc_terms(m.numerator, m.denominator, k))
 
 
 def r_d(m_ratio: Rational, k: int) -> Fraction:
@@ -116,6 +127,19 @@ def _clamped(rate: Rate, memory: Fraction, content: Fraction, k: int) -> Fractio
     return rate(ratio, k)
 
 
+def _r2(p: SystemParams, s: SplitPoint, rate: Rate = r_c) -> Fraction:
+    """Second-layer load both baselines share:
+    R2 = a*r(b*M2/(aN), K2) + (1-a)*r((1-b)M2/((1-a)N), K2)."""
+    a, b = s.alpha, s.beta
+    n = Fraction(p.n_files)
+    r2 = Fraction(0)
+    if a > 0:
+        r2 += a * _clamped(rate, b * p.m2, a * n, p.k2)
+    if a < 1:
+        r2 += (1 - a) * _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k2)
+    return r2
+
+
 def knmd_loads(
     p: SystemParams, s: SplitPoint, rate: Rate = r_c
 ) -> tuple[Fraction, Fraction]:
@@ -130,15 +154,11 @@ def knmd_loads(
     a, b = s.alpha, s.beta
     n = Fraction(p.n_files)
     r1 = Fraction(0)
-    r2 = Fraction(0)
     if a > 0:
         r1 += a * p.k2 * _clamped(rate, p.m1, a * n, p.k1)
-        r2 += a * _clamped(rate, b * p.m2, a * n, p.k2)
     if a < 1:
-        rest = _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k1 * p.k2)
-        r1 += (1 - a) * rest
-        r2 += (1 - a) * _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k2)
-    return r1, r2
+        r1 += (1 - a) * _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k1 * p.k2)
+    return r1, _r2(p, s, rate)
 
 
 def wwcy_loads(p: SystemParams, s: SplitPoint) -> tuple[Fraction, Fraction]:
@@ -154,11 +174,12 @@ def wwcy_loads(p: SystemParams, s: SplitPoint) -> tuple[Fraction, Fraction]:
         r1 += a * _clamped(r_c, p.m1, a * n, p.k1) * _clamped(r_c, b * p.m2, a * n, p.k2)
     if a < 1:
         r1 += (1 - a) * _clamped(r_c, (1 - b) * p.m2, (1 - a) * n, p.k1 * p.k2)
-    _, r2 = knmd_loads(p, s)
-    return r1, r2
+    return r1, _r2(p, s)
 
 
-_FORMULAS = {"knmd": knmd_loads, "wwcy": wwcy_loads}
+_FORMULAS = ("knmd", "wwcy")
+# Points per grid axis, i.e. a grid step of at least 1/10,000.
+_MAX_GRID_AXIS = 10_001
 
 
 def search_min_r1(
@@ -167,30 +188,46 @@ def search_min_r1(
     """Exhaustive grid search over alpha, beta in {0, step, ..., 1}.
 
     Returns the point minimizing R1; ties break by smaller R2, then by
-    lexicographic (alpha, beta).
+    lexicographic (alpha, beta).  With q the step's denominator, every grid
+    value is an integer over q, so R1 is scanned as an exact unreduced integer
+    pair (scaled by q) compared by cross-multiplication; R2 is computed only
+    where R1 ties or beats the best so far.
     """
     if formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {sorted(_FORMULAS)}, got {formula!r}")
-    fn = _FORMULAS[formula]
     step = _fraction(grid_step)
     if not 0 < step <= 1:
         raise ValueError(f"grid step {step} outside (0, 1]")
-    values = []
-    i = 0
-    while i * step < 1:
-        values.append(i * step)
-        i += 1
-    values.append(Fraction(1))
-    best_key: tuple[Fraction, Fraction] | None = None
+    axis = math.ceil(1 / step) + 1
+    if axis > _MAX_GRID_AXIS:
+        raise ValueError(
+            f"grid step {step} gives {axis} points per axis, more than {_MAX_GRID_AXIS}"
+        )
+    q = step.denominator
+    ticks = [i * step.numerator for i in range(axis - 1)] + [q]
+    k1, k2, n, kk = p.k1, p.k2, p.n_files, p.k1 * p.k2
+    m1n, m1d = p.m1.numerator, p.m1.denominator
+    m2n, m2d = p.m2.numerator, p.m2.denominator
+    wwcy = formula == "wwcy"
+    best_n, best_d = 1, 0  # +infinity, so the first point is always taken
     best: tuple[SplitPoint, Fraction, Fraction] | None = None
-    for a in values:
-        for b in values:
-            point = SplitPoint(alpha=a, beta=b)
-            r1, r2 = fn(p, point)
-            key = (r1, r2)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (point, r1, r2)
+    for a in ticks:
+        # q*R1 = a*head*mid + (q-a)*tail.  head = r_c(M1/(aN), K1) depends on alpha
+        # only; mid is K2 for KNMD and r_c(b*M2/(aN), K2) for WWCY.
+        hn, hd = _rc_terms(m1n * q, m1d * a * n, k1) if a else (0, 1)
+        for b in ticks:
+            mn, md = _rc_terms(b * m2n, m2d * a * n, k2) if wwcy and a else (k2, 1)
+            tn, td = _rc_terms((q - b) * m2n, m2d * (q - a) * n, kk) if a < q else (0, 1)
+            num = a * hn * mn * td + (q - a) * tn * hd * md
+            den = hd * md * td
+            lhs, rhs = num * best_d, best_n * den
+            if lhs > rhs:
+                continue
+            point = SplitPoint(alpha=Fraction(a, q), beta=Fraction(b, q))
+            r2 = _r2(p, point)
+            if lhs < rhs or r2 < best[2]:
+                best_n, best_d = num, den
+                best = (point, Fraction(num, den * q), r2)
     assert best is not None
     return best
 

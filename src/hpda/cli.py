@@ -173,22 +173,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 m2=loads.m2_ratio * args.n,
             )
             for formula in ("knmd", "wwcy"):
-                _, r1, r2 = search_min_r1(formula, params, step)
+                point, r1, r2 = search_min_r1(formula, params, step)
                 searched.append(
-                    (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2)
+                    (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2, None, point)
                 )
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
         return _error(exc, EXIT_USAGE)
 
     header = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f")
+    # (scheme, t, m1_ratio, m2_ratio, r1, r2, f, argmin SplitPoint of a search)
     records = [
-        (r.scheme, r.t, r.m1_ratio, r.m2_ratio, r.r1, r.r2, r.f) for r in rows
-    ] + [(s, t, m1, m2, r1, r2, None) for s, t, m1, m2, r1, r2 in searched]
+        (r.scheme, r.t, r.m1_ratio, r.m2_ratio, r.r1, r.r2, r.f, None) for r in rows
+    ] + searched
     records.sort(key=lambda rec: (rec[1], rec[0]))
 
     if args.format == "json":
         payload = []
-        for scheme, t, m1, m2, r1, r2, f in records:
+        for scheme, t, m1, m2, r1, r2, f, point in records:
             payload.append(
                 {
                     "scheme": scheme,
@@ -201,13 +202,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     "r2_value": None if r2 is None else float(r2),
                     "f": f,
                     "feasible": r1 is not None,
+                    "alpha": None if point is None else str(point.alpha),
+                    "beta": None if point is None else str(point.beta),
                 }
             )
         print(json.dumps(payload, indent=2))
     else:
         print("\t".join(header))
         for rec in records:
-            print("\t".join(_fmt_cell(v, decimals=True) for v in rec))
+            print("\t".join(_fmt_cell(v, decimals=True) for v in rec[:-1]))
     return EXIT_OK
 
 

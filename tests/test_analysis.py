@@ -1,7 +1,8 @@
 """Closed-form baselines, the lower bound, the grid search, and sweeps."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 
@@ -170,6 +171,93 @@ def test_search_rejects_bad_arguments():
         search_min_r1("unknown", EXAMPLE_PARAMS, Fraction(1, 10))
     with pytest.raises(ValueError):
         search_min_r1("knmd", EXAMPLE_PARAMS, 0)
+
+
+def test_search_rejects_grid_beyond_bound_before_allocating():
+    # 10**12 + 1 points per axis: only the arithmetic pre-check may run.
+    with pytest.raises(ValueError, match="1000000000001 points per axis"):
+        search_min_r1("knmd", EXAMPLE_PARAMS, Fraction(1, 10**12))
+    with pytest.raises(ValueError, match="10002 points per axis"):
+        search_min_r1("wwcy", EXAMPLE_PARAMS, Fraction(1, 10001))
+
+
+def _naive_search(fn, p, step):
+    """Every grid point through the Fraction formula, keeping the first
+    strictly smaller (R1, R2) in (alpha, beta) lexicographic order."""
+    values = []
+    i = 0
+    while i * step < 1:
+        values.append(i * step)
+        i += 1
+    values.append(Fraction(1))
+    best = None
+    for a in values:
+        for b in values:
+            r1, r2 = fn(p, SplitPoint(a, b))
+            if best is None or (r1, r2) < best[2:]:
+                best = (a, b, r1, r2)
+    return best
+
+
+SEARCH_STEPS = [Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(3, 10), Fraction(1, 7), Fraction(1, 20)]
+
+
+def _search_systems():
+    rng = random.Random(2024)
+    for _ in range(16):
+        k1, k2, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 9)
+        lattice = rng.randint(1, 6)
+        m1 = Fraction(rng.randint(0, n * lattice), lattice)
+        m2 = Fraction(rng.randint(0, n * lattice), lattice)
+        yield SystemParams(k1, k2, n, m1, m2)
+    # ties: everything cached (R1 = 0 wherever beta <= alpha) and nothing cached
+    # (the same (R1, R2) at every point)
+    for k1, k2, n in [(3, 2, 6), (1, 4, 5), (5, 5, 9)]:
+        yield SystemParams(k1, k2, n, n, n)
+        yield SystemParams(k1, k2, n, 0, 0)
+    yield EXAMPLE_PARAMS
+
+
+def test_search_matches_naive_fraction_loop():
+    for p in _search_systems():
+        for step in SEARCH_STEPS:
+            for formula, fn in (("knmd", knmd_loads), ("wwcy", wwcy_loads)):
+                point, r1, r2 = search_min_r1(formula, p, step)
+                got = (point.alpha, point.beta, r1, r2)
+                assert got == _naive_search(fn, p, step), (formula, p, step)
+                assert all(type(v) is Fraction for v in got)
+
+
+def test_search_tie_breaks():
+    full = SystemParams(3, 2, 6, 6, 6)
+    # R1 = 0 wherever beta <= alpha, but R2 = 0 only on the diagonal: smaller R2
+    # wins the R1 tie, then the first diagonal point wins the (R1, R2) tie.
+    assert knmd_loads(full, SplitPoint(Fraction(1, 2), Fraction(1, 4))) == (0, Fraction(1, 4))
+    assert knmd_loads(full, SplitPoint(Fraction(1, 2), Fraction(1, 2))) == (0, 0)
+    assert search_min_r1("knmd", full, Fraction(1, 4)) == (SplitPoint(0, 0), 0, 0)
+    # nothing cached: (R1, R2) = (K1*K2, K2) at every point, so (0, 0) wins
+    empty = SystemParams(3, 2, 6, 0, 0)
+    for formula in ("knmd", "wwcy"):
+        assert search_min_r1(formula, empty, Fraction(1, 4)) == (SplitPoint(0, 0), 6, 2)
+
+
+def _rc_reference(m, k):
+    scaled = m * k
+    t0 = floor(scaled)
+    lo = Fraction(k - t0, t0 + 1)
+    if scaled == t0:
+        return lo
+    lam = scaled - t0
+    return (1 - lam) * lo + lam * Fraction(k - t0 - 1, t0 + 2)
+
+
+def test_rc_integer_core_matches_fraction_formula():
+    for k in range(1, 9):
+        assert r_c(1, k) == 0
+        for i in range(38):
+            m = Fraction(i, 37)
+            assert r_c(m, k) == _rc_reference(m, k)
+            assert type(r_c(m, k)) is Fraction
 
 
 def test_lower_bound_examples():

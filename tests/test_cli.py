@@ -204,6 +204,43 @@ def test_compare_json_format(capsys):
     assert grouping["r1_value"] == pytest.approx(1 / 6)
 
 
+# (scheme, t, m1_ratio, m2_ratio, r1, r2, f, feasible, alpha, beta) of
+# compare --k1 3 --k2 2 --n 6 --t 4,5 at the default grid step 1/100.
+COMPARE_GOLDEN_ROWS = [
+    ("bound", 4, "2/5", "4/15", "2/5", "6/5", None, True, None, None),
+    ("grouping", 4, "2/5", "4/15", "2/5", "6/5", 15, True, None, None),
+    ("hybrid-mn", 4, "2/5", "4/15", None, None, None, False, None, None),
+    ("knmd", 4, "2/5", "4/15", "26/15", "6/5", None, True, None, None),
+    ("knmd-search", 4, "2/5", "4/15", "267/500", "361/300", None, True, "47/100", "0"),
+    ("wwcy", 4, "2/5", "4/15", "26/25", "6/5", None, True, None, None),
+    ("wwcy-search", 4, "2/5", "4/15", "267/500", "361/300", None, True, "47/100", "0"),
+    ("bound", 5, "2/3", "1/6", "1/6", "3/2", None, True, None, None),
+    ("grouping", 5, "2/3", "1/6", "1/6", "3/2", 6, True, None, None),
+    ("hybrid-mn", 5, "2/3", "1/6", None, None, None, False, None, None),
+    ("knmd", 5, "2/3", "1/6", "2/3", "3/2", None, True, None, None),
+    ("knmd-search", 5, "2/3", "1/6", "94/375", "451/300", None, True, "67/100", "0"),
+    ("wwcy", 5, "2/3", "1/6", "1/2", "3/2", None, True, None, None),
+    ("wwcy-search", 5, "2/3", "1/6", "94/375", "451/300", None, True, "67/100", "0"),
+]
+
+
+def test_compare_default_step_golden_json(capsys):
+    rc = main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4,5", "--format", "json"])
+    assert rc == 0
+    keys = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f", "feasible", "alpha", "beta")
+    rows = json.loads(capsys.readouterr().out)
+    assert [tuple(row[k] for k in keys) for row in rows] == COMPARE_GOLDEN_ROWS
+
+
+def test_compare_rejects_grid_beyond_bound(capsys):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4"]
+    assert main([*argv, "--grid-step", "1/1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1000000000001 points per axis" in err
+    assert main([*argv, "--grid-step", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compare_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv("HPDA_FORMAT", "json")
     rc = main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "", "--grid-step", "1"])
