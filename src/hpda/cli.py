@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .analysis import (
     SystemParams,
@@ -29,7 +28,16 @@ from .hierarchy import (
     parse_hpda,
     verify_hpda,
 )
-from .pda import PdaFormatError, _write_text, format_pda, load_pda, mn_pda, parse_pda, verify_pda
+from .pda import (
+    PdaFormatError,
+    _read_text,
+    _write_text,
+    format_pda,
+    load_pda,
+    mn_pda,
+    parse_pda,
+    verify_pda,
+)
 from .simulation import DecodingError, DemandVector, simulate, worst_case_demand
 
 EXIT_OK = 0
@@ -91,11 +99,8 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
-        return _error(exc, EXIT_USAGE)
-    first = text.split(None, 1)[0] if text.split() else ""
-    try:
+        text = _read_text(args.path)
+        first = (text.split(None, 1) or [""])[0]
         if first == "HPDA":
             h = parse_hpda(text)
             report = verify_hpda(h)
@@ -107,7 +112,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             print("error: file is neither a PDA nor an HPDA", file=sys.stderr)
             return EXIT_USAGE
-    except PdaFormatError as exc:
+    except (OSError, PdaFormatError) as exc:
         return _error(exc, EXIT_USAGE)
     if report.valid:
         print(f"valid {label}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Union
 
@@ -22,9 +22,6 @@ from .pda import (
     Pda,
     PdaFormatError,
     VerificationReport,
-    Violation,
-    _occurrences,
-    _parse_cell,
     _parse_header,
     _read_text,
     _write_text,
@@ -36,6 +33,7 @@ from .pda import (
 )
 
 if TYPE_CHECKING:
+    from .grids import Occurrences
     from .plan import DeliveryPlan
 
 MirrorCell = Union[str, None]
@@ -72,9 +70,6 @@ class MirrorPlacement:
         """Star test at 1-based (row, mirror)."""
         return self.grid[j - 1][k1 - 1] == STAR
 
-    def column_stars(self, k1: int) -> int:
-        return sum(1 for row in self.grid if row[k1 - 1] == STAR)
-
 
 HpdaReport = VerificationReport
 
@@ -108,7 +103,7 @@ class Hpda:
     blocks: tuple[Pda, ...]
     s_m: frozenset[int]
     s_k: tuple[frozenset[int], ...] = field(init=False)
-    _occurrence_index: dict | None = field(init=False, default=None, repr=False, compare=False)
+    _occurrence_index: Occurrences | None = field(init=False, default=None, repr=False, compare=False)
     _delivery_plan: DeliveryPlan | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -134,22 +129,22 @@ class Hpda:
     def union_integers(self) -> frozenset[int]:
         return frozenset().union(*self.s_k)
 
-    def block_entry(self, k1: int, j: int, k2: int) -> Cell:
-        """Cell of block k1 at 1-based (row, user column)."""
-        return self.blocks[k1 - 1].grid[j - 1][k2 - 1]
-
     @property
-    def occurrences(self) -> dict[int, list[tuple[int, int, int]]]:
-        """id -> [(mirror, row, user column)] over all blocks, 1-based.
+    def occurrences(self) -> Occurrences:
+        """Where each id occurs in the user blocks, by plan term
+        (:class:`hpda.grids.Occurrences`).
 
-        Built on first use and kept: the array is frozen, so it cannot go
-        stale.  It is kept in a declared field, not by ``cached_property``:
-        writing a new key through ``__dict__`` slows every later attribute
-        read of the array on CPython 3.11, which verification makes.  The
+        Kept from parsing, or built on first use and kept: the array is
+        frozen, so it cannot go stale.  It is kept in a declared field, not by
+        ``cached_property``: writing a new key through ``__dict__`` slows
+        every later attribute read of the array on CPython 3.11.  The
         delivery plan (``hpda.simulation.delivery_plan``) is kept the same way.
         """
         if self._occurrence_index is None:
-            object.__setattr__(self, "_occurrence_index", _occurrences(self.blocks))
+            from .grids import build_index
+
+            grids = [block.grid for block in self.blocks]
+            object.__setattr__(self, "_occurrence_index", build_index(grids, self.f, self.k2))
         return self._occurrence_index
 
 
@@ -162,69 +157,9 @@ def verify_hpda(h: Hpda) -> HpdaReport:
     B4: ids shared across blocks imply mirror stars wherever the same id's
     column re-enters another block's rows.
     """
-    violations: list[Violation] = []
-    for k1 in range(1, h.k1 + 1):
-        stars = h.mirror.column_stars(k1)
-        if stars != h.z1:
-            violations.append(
-                Violation("B1", (k1,), f"mirror column {k1} has {stars} stars, expected {h.z1}")
-            )
-    for k1, block in enumerate(h.blocks, start=1):
-        if block.z != h.z2:
-            violations.append(
-                Violation("B2", (k1,), f"block {k1} declares Z={block.z}, expected {h.z2}")
-            )
-        report = verify_pda(block)
-        for v in report.violations:
-            violations.append(
-                Violation("B2", (k1, *v.coords), f"block {k1}: {v.condition}: {v.message}")
-            )
-    occ = h.occurrences
-    for s in sorted(h.s_m):
-        cells = occ.get(s, [])
-        owners = {g for g, _, _ in cells}
-        if len(owners) != 1:
-            violations.append(
-                Violation(
-                    "B3",
-                    (s,),
-                    f"mirror-only id {s} occurs in {len(owners)} blocks, expected exactly 1",
-                )
-            )
-        for g, j, c in cells:
-            if not h.mirror.is_star(j, g):
-                violations.append(
-                    Violation(
-                        "B3",
-                        (g, j, c),
-                        f"mirror-only id {s} at block {g} row {j} lacks a mirror star",
-                    )
-                )
-    for s, cells in occ.items():
-        owners = {g for g, _, _ in cells}
-        if len(owners) < 2:
-            continue
-        for (g1, j1, c1), (g2, j2, c2) in combinations(cells, 2):
-            if g1 == g2:
-                continue
-            if h.block_entry(g1, j2, c1) != STAR and not h.mirror.is_star(j2, g1):
-                violations.append(
-                    Violation(
-                        "B4",
-                        (g1, j2, c1),
-                        f"id {s}: block {g1} row {j2} is an integer but mirror {g1} "
-                        f"misses row {j2}",
-                    )
-                )
-            if h.block_entry(g2, j1, c2) != STAR and not h.mirror.is_star(j1, g2):
-                violations.append(
-                    Violation(
-                        "B4",
-                        (g2, j1, c2),
-                        f"id {s}: block {g2} row {j1} is an integer but mirror {g2} "
-                        f"misses row {j1}",
-                    )
-                )
+    from .grids import hpda_violations
+
+    violations = hpda_violations(h)
     return HpdaReport(valid=not violations, violations=tuple(violations))
 
 
@@ -468,12 +403,10 @@ def derive_s_m(
     sits on a row that block's mirror caches; serving it from the mirror
     instead of the server is then always legal and never raises either load.
     """
-    qualified = set()
-    for s, cells in _occurrences(blocks).items():
-        owners = {g for g, _, _ in cells}
-        if len(owners) == 1 and all(mirror.is_star(j, g) for g, j, _ in cells):
-            qualified.add(s)
-    return frozenset(qualified)
+    from .grids import build_index, mirror_only_ids
+
+    k2 = blocks[0].k if blocks else 1
+    return mirror_only_ids(build_index([b.grid for b in blocks], mirror.f, k2), mirror, k2)
 
 
 def format_hpda(h: Hpda) -> str:
@@ -489,46 +422,27 @@ def format_hpda(h: Hpda) -> str:
 
 def parse_hpda(text: str) -> Hpda:
     """Parse the text format; id sets are derived from the grids, never stored."""
+    from .grids import build_index, mirror_only_ids, parse_grid
+
     (k1, k2, f, z1, z2), grid_lines = _parse_header(text, "HPDA", "K1 K2 F Z1 Z2")
     if k1 < 1 or k2 < 1:
         raise PdaFormatError("K1 and K2 must be positive", 1)
-    mirror_rows = []
-    block_rows: list[list[list[Cell]]] = [[] for _ in range(k1)]
-    for lineno, line in enumerate(grid_lines, start=2):
-        tokens = line.split()
-        if len(tokens) != k1 + k1 * k2:
-            raise PdaFormatError(
-                f"expected {k1 + k1 * k2} tokens, found {len(tokens)}", lineno
-            )
-        mirror_row = []
-        for col, tok in enumerate(tokens[:k1], start=1):
-            if tok == STAR:
-                mirror_row.append(STAR)
-            elif tok == "-":
-                mirror_row.append(None)
-            else:
-                raise PdaFormatError(f"invalid mirror token {tok!r}", lineno, col)
-        mirror_rows.append(tuple(mirror_row))
-        for g in range(k1):
-            start = k1 + g * k2
-            block_rows[g].append(
-                [
-                    _parse_cell(tok, lineno, col)
-                    for col, tok in enumerate(tokens[start : start + k2], start=start + 1)
-                ]
-            )
+    # Every line is checked against K1 + K1*K2 tokens before anything is sized by K1.
+    mirror_rows, cell_rows = parse_grid(grid_lines, k1, k1 + k1 * k2, k2)
     try:
-        mirror = MirrorPlacement(grid=tuple(mirror_rows))
-        blocks = []
-        for rows in block_rows:
-            distinct = len({c for row in rows for c in row if c != STAR})
-            blocks.append(Pda(k=k2, f=f, z=z2, s=distinct, grid=rows))
-        s_m = derive_s_m(mirror, tuple(blocks))
-        return Hpda(
-            k1=k1, k2=k2, f=f, z1=z1, z2=z2, mirror=mirror, blocks=tuple(blocks), s_m=s_m
+        mirror = MirrorPlacement(grid=mirror_rows)
+        grids = [tuple(cell_rows[g::k1]) for g in range(k1)]
+        blocks = tuple(
+            Pda(k=k2, f=f, z=z2, s=len(set(chain.from_iterable(rows)) - {STAR}), grid=rows)
+            for rows in grids
         )
+        occ = build_index(grids, f, k2)
+        s_m = mirror_only_ids(occ, mirror, k2)
+        h = Hpda(k1=k1, k2=k2, f=f, z1=z1, z2=z2, mirror=mirror, blocks=blocks, s_m=s_m)
     except ValueError as exc:
         raise PdaFormatError(str(exc)) from None
+    object.__setattr__(h, "_occurrence_index", occ)
+    return h
 
 
 def save_hpda(h: Hpda, sink: str | Path | IO[str]) -> None:

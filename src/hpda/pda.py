@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -87,7 +87,7 @@ class Pda:
 
     def integer_set(self) -> frozenset[int]:
         """Distinct multicast ids present in the grid."""
-        return frozenset(c for row in self.grid for c in row if c != STAR)
+        return frozenset(chain.from_iterable(self.grid)) - {STAR}
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,6 @@ class SubsetIndexer:
         return tuple(subset)
 
 
-def _occurrences(blocks: Iterable[Pda]) -> dict[int, list[tuple[int, int, int]]]:
-    """id -> [(block, row, column)] over all blocks, 1-based, in grid order."""
-    occ: dict[int, list[tuple[int, int, int]]] = {}
-    for g, block in enumerate(blocks, start=1):
-        for j, row in enumerate(block.grid, start=1):
-            for c, cell in enumerate(row, start=1):
-                if cell != STAR:
-                    occ.setdefault(cell, []).append((g, j, c))
-    return occ
-
-
 def mn_pda(k: int, t: int) -> Pda:
     """Canonical single-layer array on k users at memory point t/k.
 
@@ -197,37 +186,9 @@ def verify_pda(p: Pda) -> VerificationReport:
     (C3a) and the complementary corners of their 2x2 subarray are stars (C3b).
     Malformed declarations yield violations, never exceptions.
     """
-    violations: list[Violation] = []
-    for k in range(p.k):
-        stars = sum(1 for j in range(p.f) if p.grid[j][k] == STAR)
-        if stars != p.z:
-            violations.append(
-                Violation("C1", (k + 1,), f"column {k + 1} has {stars} stars, expected {p.z}")
-            )
-    occurrences = _occurrences((p,))
-    if len(occurrences) != p.s:
-        violations.append(
-            Violation("C2", (), f"{len(occurrences)} distinct integers, declared S={p.s}")
-        )
-    for value, cells in occurrences.items():
-        for (_, j1, k1), (_, j2, k2) in combinations(cells, 2):
-            if j1 == j2 or k1 == k2:
-                axis = "row" if j1 == j2 else "column"
-                violations.append(
-                    Violation(
-                        "C3a",
-                        (j1, k1, j2, k2),
-                        f"integer {value} repeats in the same {axis}",
-                    )
-                )
-            elif p.grid[j1 - 1][k2 - 1] != STAR or p.grid[j2 - 1][k1 - 1] != STAR:
-                violations.append(
-                    Violation(
-                        "C3b",
-                        (j1, k1, j2, k2),
-                        f"occurrences of {value} lack the star-complement 2x2 pattern",
-                    )
-                )
+    from .grids import pda_violations  # imported on first use, see hpda.grids
+
+    violations = pda_violations(p)
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -283,14 +244,6 @@ def format_pda(p: Pda) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_cell(token: str, line: int, column: int) -> Cell:
-    if token == STAR:
-        return STAR
-    if token.isdigit() and token.isascii() and (value := int(token)) >= 1:
-        return value
-    raise PdaFormatError(f"invalid cell token {token!r}", line, column)
-
-
 def _parse_header(text: str, magic: str, fields: str) -> tuple[list[int], list[str]]:
     """Integer header values and the grid lines of a ``magic`` text.
 
@@ -317,17 +270,12 @@ def _parse_header(text: str, magic: str, fields: str) -> tuple[list[int], list[s
 
 
 def parse_pda(text: str) -> Pda:
+    from .grids import parse_grid
+
     (k, f, z, s), grid_lines = _parse_header(text, "PDA", "K F Z S")
-    rows = []
-    for lineno, line in enumerate(grid_lines, start=2):
-        tokens = line.split()
-        if len(tokens) != k:
-            raise PdaFormatError(f"expected {k} tokens, found {len(tokens)}", lineno)
-        rows.append(
-            tuple(_parse_cell(tok, lineno, col) for col, tok in enumerate(tokens, start=1))
-        )
+    _, rows = parse_grid(grid_lines, 0, k, k)
     try:
-        return Pda(k=k, f=f, z=z, s=s, grid=tuple(rows))
+        return Pda(k=k, f=f, z=z, s=s, grid=rows)
     except ValueError as exc:
         raise PdaFormatError(str(exc)) from None
 
@@ -342,9 +290,10 @@ def _write_text(text: str, sink: str | Path | IO[str]) -> None:
 
 def _read_text(source: str | Path | IO[str]) -> str:
     """Read all text from a path or text stream."""
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text()
+    try:
+        return source.read() if hasattr(source, "read") else Path(source).read_text()
+    except UnicodeDecodeError as exc:
+        raise PdaFormatError(f"input is not text: {exc}") from None
 
 
 def save_pda(p: Pda, sink: str | Path | IO[str]) -> None:

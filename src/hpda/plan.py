@@ -24,14 +24,14 @@ from itertools import accumulate, chain, compress, repeat
 from operator import eq, itemgetter, sub, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .pda import STAR, _occurrences
+from .grids import _FLIP
+from .pda import STAR
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
 
 # Named explicitly: int.from_bytes has no default byte order before Python 3.11.
 BYTEORDER = "big"
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _CODES = bytes.maketrans(b"\x00\x01", b"\x02\x01")
 
 
@@ -69,7 +69,7 @@ def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq[i] for i in indices)
 
 
-def _runs(ids: list[int], terms: dict[int, list[int]], keep: bytes) -> Runs:
+def _runs(ids: list[int], terms: dict[int, array], keep: bytes) -> Runs:
     """The runs of ``ids``, holding only the terms t with ``keep[t]`` set."""
     flat = list(chain.from_iterable(map(terms.__getitem__, ids)))
     flags = bytes(_gather(keep, flat))
@@ -143,20 +143,16 @@ class DeliveryPlan(NamedTuple):
 
 def compile_plan(h: Hpda) -> DeliveryPlan:
     """Runs and honesty checks of every stage, from the grids alone."""
-    f, k2 = h.f, h.k2
-    # A scan made here is dropped as soon as it is read: the occurrence index
-    # is far larger than the plan.
-    terms = {
-        s: [((g - 1) * k2 + c - 1) * f + j - 1 for g, j, c in cells]
-        for s, cells in (h._occurrence_index or _occurrences(h.blocks)).items()
-    }
+    f, k2, occ = h.f, h.k2, h.occurrences
+    spans = map(slice, occ.offsets, occ.offsets[1:])
+    terms = dict(zip(occ.ids, map(occ.terms.__getitem__, spans)))
     server = _runs(sorted(h.union_integers() - h.s_m), terms, b"\x01" * (h.k1 * k2 * f))
     mirror_columns = tuple(zip(*h.mirror.grid))
     mirrors = tuple(_compile_mirror(h, g, mirror_columns[g], terms) for g in range(h.k1))
     return DeliveryPlan(f=f, server=server, mirrors=mirrors)
 
 
-def _compile_mirror(h: Hpda, g: int, column: tuple, terms: dict[int, list[int]]) -> MirrorPlan:
+def _compile_mirror(h: Hpda, g: int, column: tuple, terms: dict[int, array]) -> MirrorPlan:
     """Plan of mirror g + 1 (0-based g); masks are indexed by term."""
     f, k2, users = h.f, h.k2, h.k1 * h.k2
     star = bytes(map(eq, column, repeat(STAR)))

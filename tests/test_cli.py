@@ -130,6 +130,23 @@ def test_verify_parse_failure(tmp_path):
     assert main(["verify", str(path)]) == 2
     path.write_text("HPDA 1 2 1 0 0\n- 1 \u00b2\n")
     assert main(["verify", str(path)]) == 2
+    # Not UTF-8 text.
+    path.write_bytes(b"HPDA 1 1 1 0 0\n\xff\xfe *\n")
+    assert main(["verify", str(path)]) == 2
+    # More digits than int() converts.
+    path.write_text("HPDA 1 2 1 0 0\n- 1 " + "7" * 5000 + "\n")
+    assert main(["verify", str(path)]) == 2
+
+
+def test_simulate_and_hybrid_reject_undecodable_files(tmp_path, capsys):
+    path = tmp_path / "bad.hpda"
+    path.write_bytes(b"HPDA 1 1 1 0 0\n\xff\xfe *\n")
+    assert main(["simulate", str(path), "--files", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not text:")
+    b = tmp_path / "b.pda"
+    save_pda(mn_pda(3, 1), b)
+    assert main(["construct-hpda", "hybrid", "--a", str(path), "--b", str(b)]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not text:")
 
 
 def test_simulate_golden(tmp_path, capsys):

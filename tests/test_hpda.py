@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 import pytest
 
@@ -398,6 +399,19 @@ def test_parse_hpda_rejects_malformed():
         parse_hpda("\n".join(lines) + "\n")
     with pytest.raises(PdaFormatError):
         parse_hpda(good.replace("-", "x", 1))
+
+
+def test_parse_hpda_checks_token_counts_before_sizing_by_k1():
+    # K1 = 10**6 declares 2,000,000 tokens a line; the line holds two.  The
+    # count is checked before anything is allocated per mirror.
+    tracemalloc.start()
+    try:
+        with pytest.raises(PdaFormatError, match="expected 2000000 tokens, found 2"):
+            parse_hpda("HPDA 1000000 1 1 0 0\n* *\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hpda_constructor_validates_shape():
