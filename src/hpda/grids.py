@@ -48,7 +48,7 @@ class Occurrences(NamedTuple):
         return zip(self.ids, self.offsets, self.offsets[1:])
 
 
-def _star_columns(grid: Sequence[Sequence], width: int) -> bytes:
+def star_columns(grid: Sequence[Sequence], width: int) -> bytes:
     """1 where a cell of ``grid`` is a star, else 0, column after column."""
     flat = bytes(map(eq, chain.from_iterable(grid), repeat(STAR)))
     return b"".join(flat[c::width] for c in range(width))
@@ -103,7 +103,11 @@ def parse_grid(
     of all lines in reading order, cut into tuples of ``chunk``.  The check
     runs on all lines at once; only when it fails does :func:`_locate_error`
     rescan token by token to name the first offending line and token.
+    With no lines there is nothing to check, and nothing is sized by the
+    header's ``lead`` or ``chunk``.
     """
+    if not lines:
+        return [], []
     rows = list(map(str.split, lines))
     if set(map(len, rows)) <= {width}:
         mirror = list(chain.from_iterable(map(itemgetter(slice(lead)), rows)))
@@ -134,7 +138,7 @@ def _locate_error(lines: list[str], lead: int, width: int) -> NoReturn:
 def mirror_only_ids(occ: Occurrences, mirror: MirrorPlacement, k2: int) -> frozenset[int]:
     """Ids that occur in exactly one block and only on rows its mirror caches."""
     f, terms = mirror.f, occ.terms
-    kf, cached = k2 * f, _star_columns(mirror.grid, mirror.k1)
+    kf, cached = k2 * f, star_columns(mirror.grid, mirror.k1)
     return frozenset(
         s
         for s, lo, hi in occ.runs()
@@ -161,12 +165,15 @@ def _pair_violations(
     for s, lo, hi in occ.runs():
         if hi - lo < 2:
             continue
-        for a, b in combinations(terms[lo:hi], 2):
+        run, first = terms[lo:hi], None
+        for a, b in combinations(run, 2):
             ra, rb = a % f, b % f
             ca, cb = a - ra + rb, b - rb + ra  # a's column at b's row, and back
             if a // kf == b // kf:
                 if not (stars[ca] and stars[cb]):
-                    c3[a // kf].append(_c3(s, a, b, terms[lo:hi], f, k2))
+                    if first is None:  # the id's first cell in each block, by term
+                        first = {t // kf: t for t in reversed(run)}
+                    c3[a // kf].append(_c3(s, a, b, first[a // kf], f, k2))
                 continue
             if not cover[ca]:
                 b4.append(_b4(s, ca, f, k2))
@@ -181,12 +188,12 @@ def _cell(t: int, f: int, k2: int) -> tuple[int, int, int]:
     return t // f // k2 + 1, t % f + 1, t // f % k2 + 1
 
 
-def _c3(s: int, a: int, b: int, run: array, f: int, k2: int) -> tuple[int, Violation]:
+def _c3(s: int, a: int, b: int, first: int, f: int, k2: int) -> tuple[int, Violation]:
     """C3 violation of the pair (a, b) of one block, keyed by the scan
-    position of the id's first cell in that block."""
-    g, j1, c1 = _cell(a, f, k2)
+    position of term ``first``, the id's first cell in that block."""
+    _, j1, c1 = _cell(a, f, k2)
     _, j2, c2 = _cell(b, f, k2)
-    _, j0, c0 = _cell(next(t for t in run if t // f // k2 + 1 == g), f, k2)
+    _, j0, c0 = _cell(first, f, k2)
     if j1 == j2 or c1 == c2:
         axis = "row" if j1 == j2 else "column"
         v = Violation("C3a", (j1, c1, j2, c2), f"integer {s} repeats in the same {axis}")
@@ -231,7 +238,7 @@ def pda_violations(p: Pda) -> list[Violation]:
 def hpda_violations(h: Hpda) -> list[Violation]:
     """B1-B4 of an HPDA, from its occurrence index."""
     f, k2, occ = h.f, h.k2, h.occurrences
-    mirror = _star_columns(h.mirror.grid, h.k1)
+    mirror = star_columns(h.mirror.grid, h.k1)
     violations = []
     for g in range(h.k1):
         stars = mirror.count(1, g * f, (g + 1) * f)

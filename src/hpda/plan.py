@@ -21,11 +21,10 @@ from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import eq, itemgetter, sub, xor
+from operator import itemgetter, sub, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .grids import _FLIP
-from .pda import STAR
+from .grids import _FLIP, star_columns
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
@@ -147,15 +146,20 @@ def compile_plan(h: Hpda) -> DeliveryPlan:
     spans = map(slice, occ.offsets, occ.offsets[1:])
     terms = dict(zip(occ.ids, map(occ.terms.__getitem__, spans)))
     server = _runs(sorted(h.union_integers() - h.s_m), terms, b"\x01" * (h.k1 * k2 * f))
-    mirror_columns = tuple(zip(*h.mirror.grid))
-    mirrors = tuple(_compile_mirror(h, g, mirror_columns[g], terms) for g in range(h.k1))
+    cached = star_columns(h.mirror.grid, h.k1)
+    mirrors = tuple(
+        _compile_mirror(h, g, cached[g * f : (g + 1) * f], occ.stars, terms) for g in range(h.k1)
+    )
     return DeliveryPlan(f=f, server=server, mirrors=mirrors)
 
 
-def _compile_mirror(h: Hpda, g: int, column: tuple, terms: dict[int, array]) -> MirrorPlan:
-    """Plan of mirror g + 1 (0-based g); masks are indexed by term."""
+def _compile_mirror(
+    h: Hpda, g: int, star: bytes, stars: bytes, terms: dict[int, array]
+) -> MirrorPlan:
+    """Plan of mirror g + 1 (0-based g), which caches the rows where ``star``
+    is 1; ``stars`` is the star byte of every term, and masks are indexed by
+    term."""
     f, k2, users = h.f, h.k2, h.k1 * h.k2
-    star = bytes(map(eq, column, repeat(STAR)))
     none, every = bytes(k2 * f), b"\x01" * (k2 * f)
 
     def by_block(own: bytes, other: bytes) -> bytes:
@@ -174,8 +178,8 @@ def _compile_mirror(h: Hpda, g: int, column: tuple, terms: dict[int, array]) -> 
     run_of = dict(zip(kept.ids, map(slice, kept.offsets, kept.offsets[1:])))
     cut_of = dict(zip(kept.ids, map(sub, map(sub, kept.offsets[1:], kept.offsets), repeat(1))))
     plans = tuple(
-        _compile_user(h, g * k2 + c, user_column, kept.terms, run_of, cut_of)
-        for c, user_column in enumerate(zip(*h.blocks[g].grid))
+        _compile_user(h, slot, column, stars[slot * f : (slot + 1) * f], kept.terms, run_of, cut_of)
+        for slot, column in enumerate(zip(*h.blocks[g].grid), start=g * k2)
     )
     return MirrorPlan(strip=strip, local=local, users=plans, failure=failure)
 
@@ -184,17 +188,18 @@ def _compile_user(
     h: Hpda,
     slot: int,
     column: tuple,
+    starred: bytes,
     kept: array,
     run_of: dict[int, slice],
     cut_of: dict[int, int],
 ) -> UserPlan:
-    """Plan of the user in term slot ``slot``, whose grid column is ``column``.
+    """Plan of the user in term slot ``slot``, whose grid column is ``column``
+    and whose star bytes are ``starred``.
 
     The signal for id s leaves ``kept[run_of[s]]`` to cancel: the user's own
     wanted packet and ``cut_of[s]`` others.
     """
     f, k2, users = h.f, h.k2, h.k1 * h.k2
-    starred = bytes(map(eq, column, repeat(STAR)))
     uncached = starred.translate(_FLIP)
     ids = tuple(compress(column, uncached))
     runs = list(chain.from_iterable(map(kept.__getitem__, map(run_of.__getitem__, ids))))

@@ -136,6 +136,10 @@ def test_verify_parse_failure(tmp_path):
     # More digits than int() converts.
     path.write_text("HPDA 1 2 1 0 0\n- 1 " + "7" * 5000 + "\n")
     assert main(["verify", str(path)]) == 2
+    # F = 0 with huge K, K2 or K1: rejected, never sized by the header.
+    for header in (f"PDA {10**30} 0 0 0", f"HPDA 1 {10**30} 0 0 0", f"HPDA {10**9} 1 0 0 0"):
+        path.write_text(header + "\n")
+        assert main(["verify", str(path)]) == 2
 
 
 def test_simulate_and_hybrid_reject_undecodable_files(tmp_path, capsys):

@@ -24,6 +24,7 @@ from hpda import (
     loads_from_hpda,
     mn_pda,
     parse_hpda,
+    parse_pda,
     pda_shift,
     save_hpda,
     verify_hpda,
@@ -408,6 +409,28 @@ def test_parse_hpda_checks_token_counts_before_sizing_by_k1():
     try:
         with pytest.raises(PdaFormatError, match="expected 2000000 tokens, found 2"):
             parse_hpda("HPDA 1000000 1 1 0 0\n* *\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"PDA {10**30} 0 0 0\n", "array dimensions must be positive"),
+        (f"HPDA 1 {10**30} 0 0 0\n", "mirror grid must be nonempty"),
+        (f"HPDA {10**9} 1 0 0 0\n", "mirror grid must be nonempty"),
+    ],
+)
+def test_parsers_size_nothing_by_header_without_grid_lines(text, message):
+    # F = 0 leaves no line to check K, K1 or K2 against; nothing may be
+    # allocated per declared column or mirror before the constructors reject it.
+    parse = parse_pda if text.startswith("PDA") else parse_hpda
+    tracemalloc.start()
+    try:
+        with pytest.raises(PdaFormatError, match=message):
+            parse(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
