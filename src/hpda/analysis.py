@@ -247,10 +247,7 @@ def lower_bound_r1(p: SystemParams) -> Fraction:
 
 def optimal_r2(p: SystemParams) -> Fraction:
     """Least possible second-layer load under uncoded placement: r_c(M2/N, K2)."""
-    ratio = p.m2 / p.n_files
-    if not 0 <= ratio <= 1:
-        raise ValueError(f"memory ratio {ratio} outside [0, 1]")
-    return r_c(ratio, p.k2)
+    return r_c(p.m2 / p.n_files, p.k2)
 
 
 @dataclass(frozen=True)

@@ -21,21 +21,20 @@ from .hierarchy import (
     Hpda,
     build_grouping,
     build_hybrid,
-    format_hpda,
     grouping_params,
     load_hpda,
     loads_from_hpda,
     parse_hpda,
+    save_hpda,
     verify_hpda,
 )
 from .pda import (
     PdaFormatError,
     _read_text,
-    _write_text,
-    format_pda,
     load_pda,
     mn_pda,
     parse_pda,
+    save_pda,
     verify_pda,
 )
 from .simulation import DecodingError, DemandVector, simulate, worst_case_demand
@@ -56,7 +55,7 @@ def _cmd_construct_pda(args: argparse.Namespace) -> int:
         p = mn_pda(args.k, args.t)
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
-    _write_text(format_pda(p), args.out or sys.stdout)
+    save_pda(p, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -78,7 +77,7 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
         try:
             outer = load_pda(args.a)
             inner = load_pda(args.b)
-        except (OSError, PdaFormatError) as exc:
+        except PdaFormatError as exc:
             return _error(exc, EXIT_USAGE)
         for name, p in (("outer", outer), ("inner", inner)):
             report = verify_pda(p)
@@ -92,7 +91,7 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _error(exc, EXIT_BAD_ARTIFACT)
     summary = _summary_line(h)
-    _write_text(format_hpda(h), args.out or sys.stdout)
+    save_hpda(h, args.out or sys.stdout)
     print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
@@ -112,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             print("error: file is neither a PDA nor an HPDA", file=sys.stderr)
             return EXIT_USAGE
-    except (OSError, PdaFormatError) as exc:
+    except PdaFormatError as exc:
         return _error(exc, EXIT_USAGE)
     if report.valid:
         print(f"valid {label}")
@@ -131,7 +130,7 @@ def _parse_demand(text: str, k1: int, k2: int) -> DemandVector:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         h = load_hpda(args.path)
-    except (OSError, PdaFormatError) as exc:
+    except PdaFormatError as exc:
         return _error(exc, EXIT_USAGE)
     try:
         if args.demand:
@@ -154,10 +153,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.success else EXIT_INVALID
 
 
-def _fmt_cell(value, decimals: bool) -> str:
+def _fmt_cell(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, Fraction) and decimals:
+    if isinstance(value, Fraction):
         return f"{float(value):.4f}"
     return str(value)
 
@@ -215,7 +214,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         print("\t".join(header))
         for rec in records:
-            print("\t".join(_fmt_cell(v, decimals=True) for v in rec[:-1]))
+            print("\t".join(_fmt_cell(v) for v in rec[:-1]))
     return EXIT_OK
 
 
@@ -282,7 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else EXIT_OK
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except OSError as exc:  # a file that cannot be read or written
+        return _error(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

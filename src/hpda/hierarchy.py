@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Union
 
@@ -22,6 +22,7 @@ from .pda import (
     Pda,
     PdaFormatError,
     VerificationReport,
+    _distinct_ids,
     _parse_header,
     _read_text,
     _write_text,
@@ -69,9 +70,6 @@ class MirrorPlacement:
     def is_star(self, j: int, k1: int) -> bool:
         """Star test at 1-based (row, mirror)."""
         return self.grid[j - 1][k1 - 1] == STAR
-
-
-HpdaReport = VerificationReport
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class Hpda:
         return self._occurrence_index
 
 
-def verify_hpda(h: Hpda) -> HpdaReport:
+def verify_hpda(h: Hpda) -> VerificationReport:
     """Check B1-B4 against the grids.
 
     B1: every mirror column has Z1 stars.  B2: every block is a valid
@@ -160,7 +158,7 @@ def verify_hpda(h: Hpda) -> HpdaReport:
     from .grids import hpda_violations
 
     violations = hpda_violations(h)
-    return HpdaReport(valid=not violations, violations=tuple(violations))
+    return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
 def build_grouping(k1: int, k2: int, t: int) -> Hpda:
@@ -193,10 +191,7 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
             for c in range(k2):
                 rows[j - 1][c] = next_id
                 next_id += 1
-        distinct = len({cell for row in rows for cell in row if cell != STAR})
-        blocks.append(
-            Pda(k=k2, f=q.f, z=q.z - z1, s=distinct, grid=tuple(tuple(r) for r in rows))
-        )
+        blocks.append(Pda(k=k2, f=q.f, z=q.z - z1, s=len(_distinct_ids(rows)), grid=rows))
     s_m = frozenset(range(q.s + 1, next_id))
     assert len(s_m) == k1 * k2 * z1
 
@@ -315,7 +310,7 @@ def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
         for j in range(f1):
             shift = _inner_shift(outer, c, j, orders) * s2
             rows.extend(pda_shift(inner, shift).grid)
-        distinct = len({cell for row in rows for cell in row if cell != STAR})
+        distinct = len(_distinct_ids(rows))
         assert distinct == f1 * s2
         blocks.append(Pda(k=inner.k, f=f1 * f2, z=f1 * z2, s=distinct, grid=tuple(rows)))
 
@@ -415,7 +410,7 @@ def format_hpda(h: Hpda) -> str:
     for j in range(h.f):
         tokens = [STAR if cell == STAR else "-" for cell in h.mirror.grid[j]]
         for block in h.blocks:
-            tokens.extend(STAR if c == STAR else str(c) for c in block.grid[j])
+            tokens.extend(map(str, block.grid[j]))
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
@@ -432,10 +427,7 @@ def parse_hpda(text: str) -> Hpda:
     try:
         mirror = MirrorPlacement(grid=mirror_rows)
         grids = [tuple(cell_rows[g::k1]) for g in range(k1)]
-        blocks = tuple(
-            Pda(k=k2, f=f, z=z2, s=len(set(chain.from_iterable(rows)) - {STAR}), grid=rows)
-            for rows in grids
-        )
+        blocks = tuple(Pda(k=k2, f=f, z=z2, s=len(_distinct_ids(g)), grid=g) for g in grids)
         occ = build_index(grids, f, k2)
         s_m = mirror_only_ids(occ, mirror, k2)
         h = Hpda(k1=k1, k2=k2, f=f, z1=z1, z2=z2, mirror=mirror, blocks=blocks, s_m=s_m)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 STAR = "*"
 
@@ -81,69 +81,14 @@ class Pda:
                     raise ValueError(f"row {j} holds invalid cell {cell!r}")
         object.__setattr__(self, "grid", grid)
 
-    def entry(self, j: int, k: int) -> Cell:
-        """Cell at 1-based (row, column)."""
-        return self.grid[j - 1][k - 1]
-
     def integer_set(self) -> frozenset[int]:
         """Distinct multicast ids present in the grid."""
-        return frozenset(chain.from_iterable(self.grid)) - {STAR}
+        return _distinct_ids(self.grid)
 
 
-@dataclass(frozen=True)
-class SubsetIndexer:
-    """Lexicographic rank/unrank bijection over r-subsets of [1..ground_size].
-
-    Ranks are 1-based; ``rank`` and ``unrank`` are mutually inverse over all
-    r-subsets, ordered lexicographically as sorted tuples.
-    """
-
-    ground_size: int
-    subset_size: int
-
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
-            raise ValueError("ground set must be nonempty")
-        if not 1 <= self.subset_size <= self.ground_size:
-            raise ValueError(
-                f"subset size {self.subset_size} outside [1, {self.ground_size}]"
-            )
-
-    @property
-    def count(self) -> int:
-        return math.comb(self.ground_size, self.subset_size)
-
-    def rank(self, subset: Iterable[int]) -> int:
-        elems = sorted(subset)
-        n, r = self.ground_size, self.subset_size
-        if len(elems) != r or len(set(elems)) != r:
-            raise ValueError(f"expected {r} distinct elements, got {elems}")
-        if elems[0] < 1 or elems[-1] > n:
-            raise ValueError(f"elements of {elems} outside [1, {n}]")
-        rank = 1
-        prev = 0
-        for i, a in enumerate(elems, start=1):
-            for skipped in range(prev + 1, a):
-                rank += math.comb(n - skipped, r - i)
-            prev = a
-        return rank
-
-    def unrank(self, rank: int) -> tuple[int, ...]:
-        if not 1 <= rank <= self.count:
-            raise ValueError(f"rank {rank} outside [1, {self.count}]")
-        remaining = rank - 1
-        subset = []
-        candidate = 1
-        for i in range(1, self.subset_size + 1):
-            while True:
-                below = math.comb(self.ground_size - candidate, self.subset_size - i)
-                if remaining < below:
-                    break
-                remaining -= below
-                candidate += 1
-            subset.append(candidate)
-            candidate += 1
-        return tuple(subset)
+def _distinct_ids(rows) -> frozenset[int]:
+    """Distinct multicast ids of a grid given as rows of cells."""
+    return frozenset(chain.from_iterable(rows)) - {STAR}
 
 
 def mn_pda(k: int, t: int) -> Pda:
@@ -228,19 +173,14 @@ def column_partition(p: Pda, k1: int) -> list[Pda]:
     blocks = []
     for i in range(k1):
         rows = tuple(row[i * width : (i + 1) * width] for row in p.grid)
-        distinct = len({c for row in rows for c in row if c != STAR})
-        blocks.append(Pda(k=width, f=p.f, z=p.z, s=distinct, grid=rows))
+        blocks.append(Pda(k=width, f=p.f, z=p.z, s=len(_distinct_ids(rows)), grid=rows))
     return blocks
-
-
-def _cell_token(cell: Cell) -> str:
-    return STAR if cell == STAR else str(cell)
 
 
 def format_pda(p: Pda) -> str:
     """Render in the text format ``PDA K F Z S`` + F rows of K tokens."""
     lines = [f"PDA {p.k} {p.f} {p.z} {p.s}"]
-    lines.extend(" ".join(_cell_token(c) for c in row) for row in p.grid)
+    lines.extend(" ".join(map(str, row)) for row in p.grid)
     return "\n".join(lines) + "\n"
 
 

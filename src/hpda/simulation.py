@@ -71,12 +71,6 @@ class FileLibrary:
             files.extend(tuple(islice(packets, f)) for _ in range(drawn))
         return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=tuple(files))
 
-    @classmethod
-    def zeros(cls, n_files: int, f: int, packet_bytes: int) -> FileLibrary:
-        zero = bytes(packet_bytes)
-        packets = tuple(tuple(zero for _ in range(f)) for _ in range(n_files))
-        return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=packets)
-
     def packet(self, n: int, j: int) -> bytes:
         """Packet j of file n, both 1-based."""
         return self.packets[n - 1][j - 1]
@@ -260,6 +254,10 @@ def decode_user(
     id is XORed with the user's cached packets still present in it; what
     remains is the requested packet.
     """
+    if not 1 <= k1 <= h.k1:
+        raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
+    if not 1 <= k2 <= h.k2:
+        raise ValueError(f"user index {k2} outside [1, {h.k2}]")
     plan = delivery_plan(h)
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.

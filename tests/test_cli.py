@@ -285,6 +285,25 @@ def test_compare_rejects_non_integer_t(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-pda", "mn", "--k", "3", "--t", "1", "--out"],
+        ["construct-hpda", "grouping", "--k1", "3", "--k2", "2", "--t", "4", "--out"],
+        ["simulate", "{hpda}", "--files", "6", "--transcript"],
+    ],
+    ids=["construct-pda", "construct-hpda", "simulate"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    hpda_path = tmp_path / "g.hpda"
+    hpda_path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    argv = [a.format(hpda=hpda_path) for a in argv] + [str(tmp_path / "missing" / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2():
     assert main(["construct-pda", "mn", "--k", "3"]) == 2
     assert main(["bogus"]) == 2

@@ -2,7 +2,6 @@
 
 import io
 import math
-from itertools import combinations
 
 import pytest
 
@@ -10,7 +9,6 @@ from hpda import (
     STAR,
     Pda,
     PdaFormatError,
-    SubsetIndexer,
     column_partition,
     format_pda,
     load_pda,
@@ -168,34 +166,6 @@ def test_column_partition_blocks_keep_c1_and_c3():
 def test_column_partition_rejects_nondivisor():
     with pytest.raises(ValueError):
         column_partition(mn_pda(6, 4), 4)
-
-
-def test_subset_rank_examples():
-    ix = SubsetIndexer(ground_size=3, subset_size=2)
-    assert ix.rank((1, 2)) == 1
-    assert ix.rank((2, 3)) == 3
-
-
-def test_subset_rank_unrank_roundtrip():
-    ix = SubsetIndexer(ground_size=6, subset_size=3)
-    for rank, subset in enumerate(combinations(range(1, 7), 3), start=1):
-        assert ix.rank(subset) == rank  # strictly increasing in lex order
-        assert ix.unrank(rank) == subset
-        assert ix.unrank(ix.rank(subset)) == subset
-
-
-def test_subset_rank_errors():
-    ix = SubsetIndexer(ground_size=5, subset_size=2)
-    with pytest.raises(ValueError):
-        ix.rank((1, 2, 3))
-    with pytest.raises(ValueError):
-        ix.rank((0, 1))
-    with pytest.raises(ValueError):
-        ix.unrank(0)
-    with pytest.raises(ValueError):
-        ix.unrank(ix.count + 1)
-    with pytest.raises(ValueError):
-        SubsetIndexer(ground_size=3, subset_size=4)
 
 
 def test_save_load_roundtrip(tmp_path):

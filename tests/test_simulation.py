@@ -38,6 +38,11 @@ def xor(*packets):
     return reduce(lambda a, b: bytes(x ^ y for x, y in zip(a, b)), packets)
 
 
+def zero_library(n_files, f, packet_bytes):
+    packets = ((bytes(packet_bytes),) * f,) * n_files
+    return FileLibrary(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=packets)
+
+
 @pytest.fixture(scope="module")
 def golden():
     h = build_grouping(3, 2, 4)
@@ -67,7 +72,7 @@ def test_place_sizes_match_declared(golden):
 
 def test_place_all_star_block_caches_every_row():
     h = build_hybrid(mn_pda(2, 1), mn_pda(2, 2))
-    lib = FileLibrary.zeros(4, h.f, 4)
+    lib = zero_library(4, h.f, 4)
     cache = place(h, lib)
     assert cache.user_rows[(1, 1)] == frozenset(range(1, h.f + 1))
 
@@ -75,7 +80,7 @@ def test_place_all_star_block_caches_every_row():
 def test_place_rejects_wrong_subpacketization(golden):
     h, _, _ = golden
     with pytest.raises(ValueError):
-        place(h, FileLibrary.zeros(6, 14, 8))
+        place(h, zero_library(6, 14, 8))
 
 
 def test_server_delivery_matches_printed_signals(golden):
@@ -115,7 +120,7 @@ def test_server_signal_self_inverse(golden):
 
 def test_zero_library_gives_zero_payloads(golden):
     h, _, d = golden
-    lib = FileLibrary.zeros(6, 15, 8)
+    lib = zero_library(6, 15, 8)
     for _, payload in server_delivery(h, lib, d):
         assert payload == bytes(8)
 
@@ -184,6 +189,22 @@ def test_decode_rejects_cache_missing_a_read_row(golden):
     foreign = CacheState(library=lib, mirror_rows=cache.mirror_rows, user_rows=rows)
     with pytest.raises(DecodingError, match=r"user \(1,1\) does not cache packet row 9"):
         decode_user(h, foreign, signals, 1, 1, d)
+
+
+def test_decode_rejects_user_outside_array():
+    h = build_grouping(3, 2, 4)
+    lib = FileLibrary.random(6, h.f, 8, seed=5)
+    d = worst_case_demand(3, 2, 6)
+    cache = place(h, lib)
+    for k1, k2, match in (
+        (0, 1, r"mirror index 0 outside \[1, 3\]"),
+        (4, 1, r"mirror index 4 outside \[1, 3\]"),
+        (1, 0, r"user index 0 outside \[1, 2\]"),
+        (1, 3, r"user index 3 outside \[1, 2\]"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            decode_user(h, cache, [], k1, k2, d)
+    assert h._delivery_plan is None  # checked before the plan is compiled
 
 
 def test_decode_fails_loudly_without_signals(golden):
