@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Union
+from typing import IO, TYPE_CHECKING, Iterable, Union
 
 from .pda import (
     STAR,
-    Cell,
     Pda,
     PdaFormatError,
     VerificationReport,
@@ -26,10 +25,7 @@ from .pda import (
     _parse_header,
     _read_text,
     _write_text,
-    column_partition,
     mn_pda,
-    pda_shift,
-    star_rows,
     verify_pda,
 )
 
@@ -115,14 +111,10 @@ class Hpda:
             )
         for i, block in enumerate(self.blocks, start=1):
             if block.f != self.f or block.k != self.k2:
-                raise ValueError(
-                    f"block {i} is {block.f}x{block.k}, expected {self.f}x{self.k2}"
-                )
+                raise ValueError(f"block {i} is {block.f}x{block.k}, expected {self.f}x{self.k2}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "s_m", frozenset(self.s_m))
-        object.__setattr__(
-            self, "s_k", tuple(block.integer_set() for block in self.blocks)
-        )
+        object.__setattr__(self, "s_k", tuple(block.integer_set() for block in self.blocks))
 
     def union_integers(self) -> frozenset[int]:
         return frozenset().union(*self.s_k)
@@ -144,6 +136,34 @@ class Hpda:
             grids = [block.grid for block in self.blocks]
             object.__setattr__(self, "_occurrence_index", build_index(grids, self.f, self.k2))
         return self._occurrence_index
+
+
+def _assemble(
+    k2: int, z1: int, z2: int, mirror_rows: Iterable, grids: Iterable, s_m: frozenset[int] | None
+) -> Hpda:
+    """The array of a mirror grid and K1 block grids of K2 columns each.
+
+    F and K1 are the mirror grid's shape.  Each block's ids are scanned once,
+    for its ``s`` and its kept id set.  With ``s_m`` None (a parsed array),
+    ``s_m`` is derived from the occurrence index, which the array keeps.
+    ``grids`` is consumed only after the mirror grid is checked nonempty.
+    """
+    mirror = MirrorPlacement(grid=mirror_rows)
+    blocks = []
+    for grid in grids:
+        ids = _distinct_ids(grid)
+        block = Pda(k=k2, f=mirror.f, z=z2, s=len(ids), grid=grid)
+        object.__setattr__(block, "_ids", ids)
+        blocks.append(block)
+    occ = None
+    if s_m is None:
+        from .grids import build_index, mirror_only_ids
+
+        occ = build_index([block.grid for block in blocks], mirror.f, k2)
+        s_m = mirror_only_ids(occ, mirror, k2)
+    h = Hpda(k1=mirror.k1, k2=k2, f=mirror.f, z1=z1, z2=z2, mirror=mirror, blocks=blocks, s_m=s_m)
+    object.__setattr__(h, "_occurrence_index", occ)
+    return h
 
 
 def verify_hpda(h: Hpda) -> VerificationReport:
@@ -170,41 +190,25 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
     bottom, columns left to right, ids running S+1, S+2, ...  Requires
     k2 < t < k1*k2.
     """
-    _, z1, _ = grouping_params(k1, k2, t)
+    _, z1, z2 = grouping_params(k1, k2, t)
     q = mn_pda(k1 * k2, t)
-    blocks_q = column_partition(q, k1)
-    block_star_rows = [star_rows(b) for b in blocks_q]
-    assert all(len(rows) == z1 for rows in block_star_rows)
-    starred_sets = [set(rows) for rows in block_star_rows]
-    mirror = MirrorPlacement(
-        grid=tuple(
-            tuple(STAR if (j + 1) in starred else None for starred in starred_sets)
-            for j in range(q.f)
-        )
-    )
-
     next_id = q.s + 1
-    blocks = []
-    for g, bq in enumerate(blocks_q):
-        rows = [list(row) for row in bq.grid]
-        for j in block_star_rows[g]:
-            for c in range(k2):
-                rows[j - 1][c] = next_id
-                next_id += 1
-        blocks.append(Pda(k=k2, f=q.f, z=q.z - z1, s=len(_distinct_ids(rows)), grid=rows))
+    cached, grids = [], []
+    for g in range(k1):
+        column, rows = [], []
+        for row in q.grid:
+            cells = row[g * k2 : (g + 1) * k2]
+            column.append(STAR if cells.count(STAR) == k2 else None)
+            if column[-1] == STAR:  # an all-star row, which mirror g caches
+                cells = range(next_id, next_id + k2)
+                next_id += k2
+            rows.append(cells)
+        assert column.count(STAR) == z1
+        cached.append(column)
+        grids.append(rows)
     s_m = frozenset(range(q.s + 1, next_id))
     assert len(s_m) == k1 * k2 * z1
-
-    h = Hpda(
-        k1=k1,
-        k2=k2,
-        f=q.f,
-        z1=z1,
-        z2=q.z - z1,
-        mirror=mirror,
-        blocks=tuple(blocks),
-        s_m=s_m,
-    )
+    h = _assemble(k2, z1, z2, zip(*cached), grids, s_m)
     _assert_grouping_sets(h, q.s, t)
     return h
 
@@ -236,45 +240,29 @@ def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
     z2 = math.comb(k - 1, t - 1) - z1
     r1 = Fraction(k - t, t + 1)
     r2 = r1 - Fraction(math.comb(k - k2, t + 1), f) + Fraction(k2 * z1, f)
-    loads = SchemeLoads(
-        r1=r1,
-        r2=r2,
-        f=f,
-        m1_ratio=Fraction(z1, f),
-        m2_ratio=Fraction(t, k) - Fraction(z1, f),
-    )
-    return loads, z1, z2
+    m1 = Fraction(z1, f)
+    return SchemeLoads(r1=r1, r2=r2, f=f, m1_ratio=m1, m2_ratio=Fraction(t, k) - m1), z1, z2
 
 
-def _require_contiguous_alphabet(name: str, p: Pda) -> None:
-    ints = p.integer_set()
-    if ints != frozenset(range(1, p.s + 1)):
-        raise ValueError(f"{name} array must use the integer alphabet [1..{p.s}]")
-
-
-def _star_orders(p: Pda) -> dict[tuple[int, int], int]:
-    """(column, row) -> 1-based order of the star down its column, 0-based indices."""
-    orders = {}
-    for c in range(p.k):
-        seen = 0
-        for j in range(p.f):
-            if p.grid[j][c] == STAR:
-                seen += 1
-                orders[(c, j)] = seen
-    return orders
-
-
-def _inner_shift(outer: Pda, c: int, j: int, orders: dict[tuple[int, int], int]) -> int:
-    """Shift applied to the inner array when it replaces outer cell (j, c), 0-based.
+def _slots(outer: Pda) -> list[list[int]]:
+    """Slot of the inner copy replacing each outer cell, column by column.
 
     Integer cells s reuse slot s-1; star cells take fresh slots laid out after
     all S1 integer slots, ordered by column and then by the star's position
-    down that column.
+    down that column.  The copy in slot a is the inner array shifted by a*S2.
     """
-    cell = outer.grid[j][c]
-    if cell == STAR:
-        return c * outer.z + orders[(c, j)] - 1 + outer.s
-    return cell - 1
+    slots = []
+    for c in range(outer.k):
+        fresh = outer.s + c * outer.z
+        column = []
+        for row in outer.grid:
+            if row[c] == STAR:
+                column.append(fresh)
+                fresh += 1
+            else:
+                column.append(row[c] - 1)
+        slots.append(column)
+    return slots
 
 
 def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
@@ -292,39 +280,25 @@ def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
         if not report.valid:
             first = report.violations[0]
             raise ValueError(f"{name} array is not a valid PDA: {first.condition}: {first.message}")
-        _require_contiguous_alphabet(name, p)
+        if p.integer_set() != frozenset(range(1, p.s + 1)):
+            raise ValueError(f"{name} array must use the integer alphabet [1..{p.s}]")
 
     f1, z1, s1 = outer.f, outer.z, outer.s
     f2, z2, s2 = inner.f, inner.z, inner.s
-    orders = _star_orders(outer)
-
-    mirror_rows = []
-    for j in range(f1):
-        row = tuple(STAR if outer.grid[j][c] == STAR else None for c in range(outer.k))
-        mirror_rows.extend([row] * f2)
-    mirror = MirrorPlacement(grid=tuple(mirror_rows))
-
-    blocks = []
-    for c in range(outer.k):
-        rows: list[tuple[Cell, ...]] = []
-        for j in range(f1):
-            shift = _inner_shift(outer, c, j, orders) * s2
-            rows.extend(pda_shift(inner, shift).grid)
-        distinct = len(_distinct_ids(rows))
-        assert distinct == f1 * s2
-        blocks.append(Pda(k=inner.k, f=f1 * f2, z=f1 * z2, s=distinct, grid=tuple(rows)))
-
+    mirror_rows = [
+        tuple(STAR if cell == STAR else None for cell in row) for row in outer.grid for _ in range(f2)
+    ]
+    grids = [
+        [
+            tuple(cell if cell == STAR else cell + slot * s2 for cell in row)
+            for slot in column
+            for row in inner.grid
+        ]
+        for column in _slots(outer)
+    ]
     s_m = frozenset(range(s1 * s2 + 1, (s1 + z1 * outer.k) * s2 + 1))
-    h = Hpda(
-        k1=outer.k,
-        k2=inner.k,
-        f=f1 * f2,
-        z1=z1 * f2,
-        z2=z2 * f1,
-        mirror=mirror,
-        blocks=tuple(blocks),
-        s_m=s_m,
-    )
+    h = _assemble(inner.k, z1 * f2, z2 * f1, mirror_rows, grids, s_m)
+    assert all(block.s == f1 * s2 for block in h.blocks)
     _assert_hybrid_sets(h, outer, s2)
     return h
 
@@ -363,12 +337,11 @@ def inner_sets_disjoint(outer: Pda, inner: Pda) -> bool:
     disjoint exactly when their union holds as many ids as they do together.
     """
     base = inner.integer_set()
-    orders = _star_orders(outer)
-    shifts = {}
-    for c in range(outer.k):
-        for j in range(outer.f):
-            cell = outer.grid[j][c]
-            shifts[(c, j) if cell == STAR else cell] = _inner_shift(outer, c, j, orders)
+    shifts = {
+        (c, j) if outer.grid[j][c] == STAR else outer.grid[j][c]: slot
+        for c, column in enumerate(_slots(outer))
+        for j, slot in enumerate(column)
+    }
     union = {v + shift * inner.s for shift in shifts.values() for v in base}
     return len(union) == len(shifts) * len(base)
 
@@ -407,34 +380,29 @@ def derive_s_m(
 def format_hpda(h: Hpda) -> str:
     """Render as ``HPDA K1 K2 F Z1 Z2`` + F rows of mirror then block tokens."""
     lines = [f"HPDA {h.k1} {h.k2} {h.f} {h.z1} {h.z2}"]
-    for j in range(h.f):
-        tokens = [STAR if cell == STAR else "-" for cell in h.mirror.grid[j]]
-        for block in h.blocks:
-            tokens.extend(map(str, block.grid[j]))
+    for mirror_row, *cells in zip(h.mirror.grid, *(block.grid for block in h.blocks)):
+        tokens = [STAR if cell == STAR else "-" for cell in mirror_row]
+        tokens.extend(map(str, chain.from_iterable(cells)))
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
 
 def parse_hpda(text: str) -> Hpda:
     """Parse the text format; id sets are derived from the grids, never stored."""
-    from .grids import build_index, mirror_only_ids, parse_grid
+    from .grids import parse_grid
 
-    (k1, k2, f, z1, z2), grid_lines = _parse_header(text, "HPDA", "K1 K2 F Z1 Z2")
+    (k1, k2, _, z1, z2), grid_lines = _parse_header(text, "HPDA", "K1 K2 F Z1 Z2")
     if k1 < 1 or k2 < 1:
         raise PdaFormatError("K1 and K2 must be positive", 1)
     # Every line is checked against K1 + K1*K2 tokens before anything is sized by K1.
     mirror_rows, cell_rows = parse_grid(grid_lines, k1, k1 + k1 * k2, k2)
     try:
-        mirror = MirrorPlacement(grid=mirror_rows)
-        grids = [tuple(cell_rows[g::k1]) for g in range(k1)]
-        blocks = tuple(Pda(k=k2, f=f, z=z2, s=len(_distinct_ids(g)), grid=g) for g in grids)
-        occ = build_index(grids, f, k2)
-        s_m = mirror_only_ids(occ, mirror, k2)
-        h = Hpda(k1=k1, k2=k2, f=f, z1=z1, z2=z2, mirror=mirror, blocks=blocks, s_m=s_m)
+        # A generator: with no grid lines, the empty mirror grid is rejected
+        # before K1 blocks are made.
+        grids = (tuple(cell_rows[g::k1]) for g in range(k1))
+        return _assemble(k2, z1, z2, mirror_rows, grids, None)
     except ValueError as exc:
         raise PdaFormatError(str(exc)) from None
-    object.__setattr__(h, "_occurrence_index", occ)
-    return h
 
 
 def save_hpda(h: Hpda, sink: str | Path | IO[str]) -> None:

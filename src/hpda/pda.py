@@ -10,7 +10,7 @@ tuples are plain Python sequences indexed ``grid[j - 1][k - 1]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Union
@@ -62,6 +62,7 @@ class Pda:
     z: int
     s: int
     grid: tuple[tuple[Cell, ...], ...]
+    _ids: frozenset[int] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.f < 1:
@@ -82,8 +83,11 @@ class Pda:
         object.__setattr__(self, "grid", grid)
 
     def integer_set(self) -> frozenset[int]:
-        """Distinct multicast ids present in the grid."""
-        return _distinct_ids(self.grid)
+        """Distinct multicast ids present in the grid, scanned once and kept
+        (the HPDA builders fill them from the scan that sets a block's ``s``)."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", _distinct_ids(self.grid))
+        return self._ids
 
 
 def _distinct_ids(rows) -> frozenset[int]:
@@ -141,18 +145,11 @@ def pda_shift(p: Pda, a: int) -> Pda:
     """Add ``a`` to every integer cell, leaving stars untouched."""
     if a == 0:
         return p
-    rows = []
-    for j, row in enumerate(p.grid, start=1):
-        shifted: list[Cell] = []
-        for cell in row:
-            if cell == STAR:
-                shifted.append(cell)
-            else:
-                if cell + a < 1:
-                    raise ValueError(f"shift by {a} sends {cell} (row {j}) below 1")
-                shifted.append(cell + a)
-        rows.append(tuple(shifted))
-    return Pda(k=p.k, f=p.f, z=p.z, s=p.s, grid=tuple(rows))
+    low = min(p.integer_set(), default=1)
+    if low + a < 1:
+        raise ValueError(f"shift by {a} sends {low} below 1")
+    rows = (tuple(cell if cell == STAR else cell + a for cell in row) for row in p.grid)
+    return Pda(k=p.k, f=p.f, z=p.z, s=p.s, grid=rows)
 
 
 def star_rows(p: Pda) -> list[int]:

@@ -97,6 +97,10 @@ class DemandVector:
             raise ValueError("demands must be positive file indices")
 
     def demand(self, k1: int, k2: int) -> int:
+        if not 1 <= k1 <= self.k1:
+            raise ValueError(f"mirror index {k1} outside [1, {self.k1}]")
+        if not 1 <= k2 <= self.k2:
+            raise ValueError(f"user index {k2} outside [1, {self.k2}]")
         return self.entries[(k1 - 1) * self.k2 + (k2 - 1)]
 
 

@@ -296,6 +296,21 @@ def test_demand_vector_validation():
     assert d.demand(2, 3) == 3
 
 
+@pytest.mark.parametrize(
+    "k1, k2, message",
+    [
+        (0, 1, r"mirror index 0 outside \[1, 3\]"),
+        (4, 1, r"mirror index 4 outside \[1, 3\]"),
+        (1, 0, r"user index 0 outside \[1, 2\]"),
+        (1, 3, r"user index 3 outside \[1, 2\]"),
+    ],
+)
+def test_demand_rejects_indices_outside_the_array(k1, k2, message):
+    # Unchecked, (0, 1), (1, 0) and (1, 3) would index another user's demand.
+    with pytest.raises(ValueError, match=message):
+        worst_case_demand(3, 2, 6).demand(k1, k2)
+
+
 def test_simulate_rejects_small_library(golden):
     h, _, _ = golden
     with pytest.raises(ValueError):

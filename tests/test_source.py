@@ -1,0 +1,75 @@
+"""Static checks on the package source: no unused import, no dead private name."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hpda"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _reads(tree):
+    """Names the module reads: bare names, attribute names, and ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imports(tree):
+    """(line, name bound, name imported) of every import but ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0], alias.name
+
+
+def _private_definitions(tree):
+    """(line, name) of every private function, class or variable at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_sources_parse():
+    assert {"__init__.py", "hierarchy.py", "pda.py"} <= set(TREES)
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{module}:{line} {bound}"
+        for module, tree in TREES.items()
+        for line, bound, _ in _imports(tree)
+        if bound not in _reads(tree)
+    ]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _reads(tree)
+        referenced.update(name for _, _, name in _imports(tree))
+    dead = [
+        f"{module}:{line} {name}"
+        for module, tree in TREES.items()
+        for line, name in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert dead == []
