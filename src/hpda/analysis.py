@@ -88,17 +88,23 @@ def _rc_terms(num: int, den: int, k: int) -> tuple[int, int]:
     )
 
 
+def _rate_ratio(m_ratio: Rational, k: int) -> Fraction:
+    """``m_ratio`` as a Fraction, once it lies in [0, 1] and k is positive."""
+    m = _fraction(m_ratio)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if not 0 <= m <= 1:
+        raise ValueError(f"memory ratio {m} outside [0, 1]")
+    return m
+
+
 def r_c(m_ratio: Rational, k: int) -> Fraction:
     """Single-layer coded-caching load at memory ratio m for k users.
 
     Exactly K(1-m)/(1+Km) at the lattice points m = t/k; linear interpolation
     (memory sharing) between adjacent lattice points elsewhere.
     """
-    m = _fraction(m_ratio)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0 <= m <= 1:
-        raise ValueError(f"memory ratio {m} outside [0, 1]")
+    m = _rate_ratio(m_ratio, k)
     return Fraction(*_rc_terms(m.numerator, m.denominator, k))
 
 
@@ -109,11 +115,7 @@ def r_d(m_ratio: Rational, k: int) -> Fraction:
     m = 0 (Maddah-Ali and Niesen, arXiv:1301.5848, the rate r(m, K) in which
     Karamchandani et al., arXiv:1403.7007, state the KNMD loads).
     """
-    m = _fraction(m_ratio)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0 <= m <= 1:
-        raise ValueError(f"memory ratio {m} outside [0, 1]")
+    m = _rate_ratio(m_ratio, k)
     if m == 0:
         return Fraction(k)
     return (1 / m - 1) * (1 - (1 - m) ** k)

@@ -79,15 +79,8 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
             inner = load_pda(args.b)
         except PdaFormatError as exc:
             return _error(exc, EXIT_USAGE)
-        for name, p in (("outer", outer), ("inner", inner)):
-            report = verify_pda(p)
-            if not report.valid:
-                print(f"error: {name} array fails verification:", file=sys.stderr)
-                for v in report.violations:
-                    print(f"  {v.condition} at {v.coords}: {v.message}", file=sys.stderr)
-                return EXIT_BAD_ARTIFACT
         try:
-            h = build_hybrid(outer, inner)
+            h = build_hybrid(outer, inner)  # verifies both inputs
         except ValueError as exc:
             return _error(exc, EXIT_BAD_ARTIFACT)
     summary = _summary_line(h)
@@ -118,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"invalid {label}")
     for v in report.violations:
-        print(f"  {v.condition} at {v.coords}: {v.message}")
+        print(f"  {v}")
     return EXIT_INVALID
 
 

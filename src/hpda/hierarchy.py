@@ -22,10 +22,10 @@ from .pda import (
     PdaFormatError,
     VerificationReport,
     _distinct_ids,
+    _mn_rows,
     _parse_header,
     _read_text,
     _write_text,
-    mn_pda,
     verify_pda,
 )
 
@@ -191,12 +191,13 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
     k2 < t < k1*k2.
     """
     _, z1, z2 = grouping_params(k1, k2, t)
-    q = mn_pda(k1 * k2, t)
-    next_id = q.s + 1
+    mn_rows = _mn_rows(k1 * k2, t)  # no MN Pda: _assemble checks the cells, once
+    s = math.comb(k1 * k2, t + 1)
+    next_id = s + 1
     cached, grids = [], []
     for g in range(k1):
         column, rows = [], []
-        for row in q.grid:
+        for row in mn_rows:
             cells = row[g * k2 : (g + 1) * k2]
             column.append(STAR if cells.count(STAR) == k2 else None)
             if column[-1] == STAR:  # an all-star row, which mirror g caches
@@ -206,10 +207,10 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
         assert column.count(STAR) == z1
         cached.append(column)
         grids.append(rows)
-    s_m = frozenset(range(q.s + 1, next_id))
+    s_m = frozenset(range(s + 1, next_id))
     assert len(s_m) == k1 * k2 * z1
     h = _assemble(k2, z1, z2, zip(*cached), grids, s_m)
-    _assert_grouping_sets(h, q.s, t)
+    _assert_grouping_sets(h, s, t)
     return h
 
 
@@ -272,14 +273,14 @@ def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
     times.  Block k1 stacks F1 shifted copies of the inner array, one per
     outer cell in column k1: copies replacing equal outer integers share ids
     (the server multicasts them), copies replacing outer stars get fresh id
-    ranges (their packets sit in mirror k1's cache).  Both inputs must verify
-    and use contiguous integer alphabets [1..S].
+    ranges (their packets sit in mirror k1's cache).  Both inputs are verified
+    (the error lists every violation), then need alphabets [1..S] without gaps.
     """
     for name, p in (("outer", outer), ("inner", inner)):
-        report = verify_pda(p)
-        if not report.valid:
-            first = report.violations[0]
-            raise ValueError(f"{name} array is not a valid PDA: {first.condition}: {first.message}")
+        lines = [f"  {v}" for v in verify_pda(p).violations]
+        if lines:
+            raise ValueError("\n".join([f"{name} array fails verification:", *lines]))
+    for name, p in (("outer", outer), ("inner", inner)):
         if p.integer_set() != frozenset(range(1, p.s + 1)):
             raise ValueError(f"{name} array must use the integer alphabet [1..{p.s}]")
 

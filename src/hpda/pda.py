@@ -41,6 +41,9 @@ class Violation:
     coords: tuple[int, ...]
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.condition} at {self.coords}: {self.message}"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -95,6 +98,18 @@ def _distinct_ids(rows) -> frozenset[int]:
     return frozenset(chain.from_iterable(rows)) - {STAR}
 
 
+def _mn_rows(k: int, t: int) -> list[tuple[Cell, ...]]:
+    """Rows of :func:`mn_pda`: the (t+1)-subset of rank r writes r at
+    (subset - {c}, c) for each member c, and every other cell is a star.
+    Tuples, so that a block's slices of them are kept as they are, not copied.
+    """
+    rows = {sub: [STAR] * k for sub in combinations(range(1, k + 1), t)}  # in lexicographic order
+    for r, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1):
+        for i, c in enumerate(sub):
+            rows[sub[:i] + sub[i + 1 :]][c - 1] = r
+    return list(map(tuple, rows.values()))
+
+
 def mn_pda(k: int, t: int) -> Pda:
     """Canonical single-layer array on k users at memory point t/k.
 
@@ -105,25 +120,12 @@ def mn_pda(k: int, t: int) -> Pda:
     """
     if not 1 <= t <= k:
         raise ValueError(f"t must be in [1, {k}], got {t}")
-    ranks = {
-        sub: i for i, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1)
-    }
-    rows = []
-    for t_set in combinations(range(1, k + 1), t):
-        members = set(t_set)
-        row: list[Cell] = []
-        for c in range(1, k + 1):
-            if c in members:
-                row.append(STAR)
-            else:
-                row.append(ranks[tuple(sorted(t_set + (c,)))])
-        rows.append(tuple(row))
     return Pda(
         k=k,
         f=math.comb(k, t),
         z=math.comb(k - 1, t - 1),
         s=math.comb(k, t + 1),
-        grid=tuple(rows),
+        grid=_mn_rows(k, t),
     )
 
 

@@ -123,8 +123,7 @@ class CacheState:
 
 def place(h: Hpda, lib: FileLibrary) -> CacheState:
     """Fill caches from the grids: starred rows are cached for every file."""
-    if lib.f != h.f:
-        raise ValueError(f"library splits files into {lib.f} packets, array expects {h.f}")
+    _check_library(h, lib)
     mirror_rows = {
         k1: frozenset(j for j in range(1, h.f + 1) if h.mirror.is_star(j, k1))
         for k1 in range(1, h.k1 + 1)
@@ -150,9 +149,13 @@ def delivery_plan(h: Hpda) -> DeliveryPlan:
     return h._delivery_plan
 
 
-def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
+def _check_library(h: Hpda, lib: FileLibrary) -> None:
     if lib.f != h.f:
-        raise ValueError(f"library subpacketization {lib.f} != array F {h.f}")
+        raise ValueError(f"library splits files into {lib.f} packets, array expects {h.f}")
+
+
+def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
+    _check_library(h, lib)
     if (d.k1, d.k2) != (h.k1, h.k2):
         raise ValueError(f"demand shape ({d.k1},{d.k2}) != array shape ({h.k1},{h.k2})")
     if max(d.entries) > lib.n_files:
@@ -258,19 +261,16 @@ def decode_user(
     id is XORed with the user's cached packets still present in it; what
     remains is the requested packet.
     """
-    if not 1 <= k1 <= h.k1:
-        raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
-    if not 1 <= k2 <= h.k2:
-        raise ValueError(f"user index {k2} outside [1, {h.k2}]")
+    lib = cache.library
+    _check_inputs(h, lib, d)
+    wanted = lib.packets[d.demand(k1, k2) - 1]  # d has the array's shape, so this checks k1, k2
     plan = delivery_plan(h)
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.
     rows = frozenset(map(add, plan.mirrors[k1 - 1].users[k2 - 1].cached_rows, repeat(1)))
-    missing = rows - cache.user_rows[(k1, k2)]
+    missing = rows - cache.user_rows.get((k1, k2), frozenset())
     if missing:
         raise DecodingError(f"user ({k1},{k2}) does not cache packet row {min(missing)}")
-    lib = cache.library
-    wanted = lib.packets[d.demand(k1, k2) - 1]
     return _decode(plan, k1, k2, mirror_signals, _demanded(lib, d), wanted)
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, save_pda
+import hpda.grids
+from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
 from hpda.cli import main
 
 
@@ -63,6 +64,40 @@ def test_construct_hpda_hybrid_rejects_invalid_input(tmp_path, capsys):
     rc = main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(b)])
     assert rc == 3
     assert "fails verification" in capsys.readouterr().err
+
+
+def test_construct_hpda_hybrid_verifies_each_input_once(tmp_path, monkeypatch):
+    calls = []
+    pda_violations = hpda.grids.pda_violations
+
+    def counting(p):
+        calls.append(p)
+        return pda_violations(p)
+
+    monkeypatch.setattr(hpda.grids, "pda_violations", counting)
+    a, b = tmp_path / "a.pda", tmp_path / "b.pda"
+    save_pda(mn_pda(2, 1), a)
+    save_pda(mn_pda(3, 1), b)
+    assert main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(b)]) == 0
+    assert calls == [mn_pda(2, 1), mn_pda(3, 1)]
+
+
+# The outer array is valid: one with the alphabet [1..S], one shifted to
+# [6..8].  Both arrays are verified before either alphabet is checked, so
+# both print the inner array's violations.
+@pytest.mark.parametrize("outer", [mn_pda(2, 1), pda_shift(mn_pda(3, 1), 5)])
+def test_construct_hpda_hybrid_invalid_inner_stderr(tmp_path, capsys, outer):
+    a, b = tmp_path / "a.pda", tmp_path / "b.pda"
+    save_pda(outer, a)
+    b.write_text("PDA 3 3 1 3\n* 1 1\n1 * 3\n2 3 *\n")
+    assert main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: inner array fails verification:\n"
+        "  C3a at (1, 2, 1, 3): integer 1 repeats in the same row\n"
+        "  C3b at (1, 3, 2, 1): occurrences of 1 lack the star-complement 2x2 pattern\n"
+    )
 
 
 def test_construct_hpda_hybrid_missing_file(tmp_path):

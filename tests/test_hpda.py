@@ -558,3 +558,19 @@ def test_parse_scans_each_blocks_ids_once(monkeypatch):
     assert len(scans) == h.k1 == 3
     assert verify_hpda(h).valid
     assert len(scans) == 3
+
+
+def test_grouping_builds_no_mn_array(monkeypatch):
+    # The blocks are sliced from the MN rows, so the only arrays made are
+    # the K1 blocks, each checked once as it is made.
+    made = []
+    post_init = Pda.__post_init__
+
+    def counting(self):
+        made.append((self.f, self.k))
+        post_init(self)
+
+    monkeypatch.setattr(Pda, "__post_init__", counting)
+    h = build_grouping(3, 2, 4)
+    assert made == [(15, 2)] * 3
+    assert h == golden_15x9()

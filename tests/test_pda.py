@@ -2,6 +2,7 @@
 
 import io
 import math
+from itertools import combinations
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_mn_pda_verifies_for_all_t(k):
         for col in range(k):
             stars = sum(1 for j in range(p.f) if p.grid[j][col] == STAR)
             assert stars == math.comb(k - 1, t - 1)
+
+
+def _mn_grid_by_rank(k, t):
+    """The MN grid by its definition: the rank of sorted(T + (c,)) among the
+    (t+1)-subsets, looked up in a table of all of them."""
+    ranks = {sub: r for r, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1)}
+    return tuple(
+        tuple(STAR if c in t_set else ranks[tuple(sorted(t_set + (c,)))] for c in range(1, k + 1))
+        for t_set in combinations(range(1, k + 1), t)
+    )
+
+
+@pytest.mark.parametrize("k,t", [(k, t) for k in range(1, 9) for t in range(1, k + 1)] + [(16, 8)])
+def test_mn_pda_equals_rank_definition(k, t):
+    p = mn_pda(k, t)
+    assert p.grid == _mn_grid_by_rank(k, t)
+    assert (p.f, p.z, p.s) == (math.comb(k, t), math.comb(k - 1, t - 1), math.comb(k, t + 1))
 
 
 @pytest.mark.parametrize("k,t", [(4, 1), (5, 2), (6, 3), (7, 4)])

@@ -207,6 +207,48 @@ def test_decode_rejects_user_outside_array():
     assert h._delivery_plan is None  # checked before the plan is compiled
 
 
+def _decode_inputs():
+    h = build_grouping(3, 2, 4)
+    lib = FileLibrary.random(6, h.f, 8, seed=5)
+    d = worst_case_demand(3, 2, 6)
+    cache = place(h, lib)
+    signals = mirror_delivery(h, lib, d, 1, server_delivery(h, lib, d))
+    return h, lib, d, cache, signals
+
+
+def test_decode_rejects_demand_of_another_shape():
+    h, _, _, cache, signals = _decode_inputs()
+    d = DemandVector(k1=2, k2=3, entries=(1, 2, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match=r"demand shape \(2,3\) != array shape \(3,2\)"):
+        decode_user(h, cache, signals, 1, 1, d)
+
+
+def test_decode_and_place_reject_another_f_with_one_message():
+    h, _, d, cache, signals = _decode_inputs()
+    lib = FileLibrary.random(6, h.f + 1, 8, seed=5)
+    foreign = CacheState(library=lib, mirror_rows=cache.mirror_rows, user_rows=cache.user_rows)
+    message = r"library splits files into 16 packets, array expects 15"
+    with pytest.raises(ValueError, match=message):
+        decode_user(h, foreign, signals, 1, 1, d)
+    with pytest.raises(ValueError, match=message):
+        place(h, lib)
+
+
+def test_decode_rejects_demand_beyond_library():
+    h, _, _, cache, signals = _decode_inputs()
+    d = DemandVector(k1=3, k2=2, entries=(9, 2, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match=r"demand index 9 exceeds library size 6"):
+        decode_user(h, cache, signals, 1, 1, d)
+
+
+def test_decode_rejects_cache_placed_for_another_array():
+    # Same F = 15, but six mirrors of one user each: the cache has no user (1, 2).
+    h, lib, d, _, signals = _decode_inputs()
+    cache = place(build_hybrid(mn_pda(6, 2), mn_pda(1, 1)), lib)
+    with pytest.raises(DecodingError, match=r"user \(1,2\) does not cache packet row"):
+        decode_user(h, cache, signals, 1, 2, d)
+
+
 def test_decode_fails_loudly_without_signals(golden):
     h, lib, d = golden
     cache = place(h, lib)
