@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, simulate, and compare.
 
 Exit codes: 0 success, 1 semantic failure (invalid array or failed decode),
-2 usage or parse error, 3 input artifact fails verification.
+2 usage or parse error, 3 input artifact fails verification.  Handlers raise;
+:func:`main` alone turns an exception into code 1 or 2.
 """
 
 from __future__ import annotations
@@ -45,17 +46,8 @@ EXIT_USAGE = 2
 EXIT_BAD_ARTIFACT = 3
 
 
-def _error(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _cmd_construct_pda(args: argparse.Namespace) -> int:
-    try:
-        p = mn_pda(args.k, args.t)
-    except ValueError as exc:
-        return _error(exc, EXIT_USAGE)
-    save_pda(p, args.out or sys.stdout)
+    save_pda(mn_pda(args.k, args.t), args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -69,20 +61,15 @@ def _summary_line(h: Hpda) -> str:
 
 def _cmd_construct_hpda(args: argparse.Namespace) -> int:
     if args.kind == "grouping":
-        try:
-            h = build_grouping(args.k1, args.k2, args.t)
-        except ValueError as exc:
-            return _error(exc, EXIT_USAGE)
+        h = build_grouping(args.k1, args.k2, args.t)
     else:
-        try:
-            outer = load_pda(args.a)
-            inner = load_pda(args.b)
-        except PdaFormatError as exc:
-            return _error(exc, EXIT_USAGE)
-        try:
-            h = build_hybrid(outer, inner)  # verifies both inputs
+        outer = load_pda(args.a)
+        inner = load_pda(args.b)
+        try:  # here a ValueError means an input fails verification
+            h = build_hybrid(outer, inner)
         except ValueError as exc:
-            return _error(exc, EXIT_BAD_ARTIFACT)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_ARTIFACT
     summary = _summary_line(h)
     save_hpda(h, args.out or sys.stdout)
     print(summary, file=sys.stdout if args.out else sys.stderr)
@@ -90,22 +77,18 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.path)
-        first = (text.split(None, 1) or [""])[0]
-        if first == "HPDA":
-            h = parse_hpda(text)
-            report = verify_hpda(h)
-            label = f"HPDA K1={h.k1} K2={h.k2} F={h.f} Z1={h.z1} Z2={h.z2}"
-        elif first == "PDA":
-            p = parse_pda(text)
-            report = verify_pda(p)
-            label = f"PDA K={p.k} F={p.f} Z={p.z} S={p.s}"
-        else:
-            print("error: file is neither a PDA nor an HPDA", file=sys.stderr)
-            return EXIT_USAGE
-    except PdaFormatError as exc:
-        return _error(exc, EXIT_USAGE)
+    text = _read_text(args.path)
+    first = (text.split(None, 1) or [""])[0]
+    if first == "HPDA":
+        h = parse_hpda(text)
+        report = verify_hpda(h)
+        label = f"HPDA K1={h.k1} K2={h.k2} F={h.f} Z1={h.z1} Z2={h.z2}"
+    elif first == "PDA":
+        p = parse_pda(text)
+        report = verify_pda(p)
+        label = f"PDA K={p.k} F={p.f} Z={p.z} S={p.s}"
+    else:
+        raise PdaFormatError("file is neither a PDA nor an HPDA")
     if report.valid:
         print(f"valid {label}")
         return EXIT_OK
@@ -115,27 +98,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
-def _parse_demand(text: str, k1: int, k2: int) -> DemandVector:
-    entries = tuple(int(tok) for tok in text.split(","))
-    return DemandVector(k1=k1, k2=k2, entries=entries)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        h = load_hpda(args.path)
-    except PdaFormatError as exc:
-        return _error(exc, EXIT_USAGE)
-    try:
-        if args.demand:
-            d = _parse_demand(args.demand, h.k1, h.k2)
-        else:
-            d = worst_case_demand(h.k1, h.k2, args.files)
-        result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
-    except ValueError as exc:
-        return _error(exc, EXIT_USAGE)
-    except DecodingError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    h = load_hpda(args.path)
+    if args.demand:
+        d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(map(int, args.demand.split(","))))
+    else:
+        d = worst_case_demand(h.k1, h.k2, args.files)
+    result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     t = result.transcript
     flag = "success" if result.success else "failure"
     print(f"{flag} R1={t.server_packets}/{t.f} R2={max(t.mirror_packets(k) for k in t.mirror_signals)}/{t.f}")
@@ -155,28 +124,24 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
-        rows = compare_sweep(args.k1, args.k2, args.n, t_list)
-        step = Fraction(args.grid_step)
-        searched = []
-        for t in t_list:
-            loads, _, _ = grouping_params(args.k1, args.k2, t)
-            params = SystemParams(
-                k1=args.k1,
-                k2=args.k2,
-                n_files=args.n,
-                m1=loads.m1_ratio * args.n,
-                m2=loads.m2_ratio * args.n,
+    t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
+    rows = compare_sweep(args.k1, args.k2, args.n, t_list)
+    step = Fraction(args.grid_step)
+    searched = []
+    for t in t_list:
+        loads, _, _ = grouping_params(args.k1, args.k2, t)
+        params = SystemParams(
+            k1=args.k1,
+            k2=args.k2,
+            n_files=args.n,
+            m1=loads.m1_ratio * args.n,
+            m2=loads.m2_ratio * args.n,
+        )
+        for formula in ("knmd", "wwcy"):
+            point, r1, r2 = search_min_r1(formula, params, step)
+            searched.append(
+                (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2, None, point)
             )
-            for formula in ("knmd", "wwcy"):
-                point, r1, r2 = search_min_r1(formula, params, step)
-                searched.append(
-                    (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2, None, point)
-                )
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
-        return _error(exc, EXIT_USAGE)
-
     header = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f")
     # (scheme, t, m1_ratio, m2_ratio, r1, r2, f, argmin SplitPoint of a search)
     records = [
@@ -276,8 +241,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if code else EXIT_OK
     try:
         return args.handler(args)
-    except OSError as exc:  # a file that cannot be read or written
-        return _error(exc, EXIT_USAGE)
+    except DecodingError as exc:
+        print(f"failure: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    # A file that cannot be read or written, bad input (PdaFormatError is a
+    # ValueError), or a zero grid step: Fraction("1/0") raises ZeroDivisionError.
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

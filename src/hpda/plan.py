@@ -3,7 +3,8 @@
 The grids alone fix which packets go into each server signal, which of them
 each mirror strips and which each user cancels; the demand only picks the
 files.  :func:`compile_plan` turns an array into that plan once, and the
-delivery stages in :mod:`hpda.simulation` execute it for any demand.
+plan's own methods execute it for any demand; the public stages in
+:mod:`hpda.simulation` check their inputs and call them.
 
 A term names one packet of a delivery: term ``((k1 - 1) * K2 + k2 - 1) * F +
 j - 1`` is packet row j of the file that user (k1, k2) demands.  The plan holds
@@ -25,6 +26,7 @@ from operator import itemgetter, sub, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .grids import _FLIP, star_columns
+from .simulation import DecodingError
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
@@ -115,8 +117,11 @@ class DeliveryPlan(NamedTuple):
     Built once per array by :func:`hpda.simulation.delivery_plan`.  Every
     term was checked against the grid of the receiver that combines it, and a
     mirror or user that would need a packet it cannot get carries, as
-    ``failure``, the message of the ``DecodingError`` its stage raises.  The
+    ``failure``, the message of the ``DecodingError`` its method raises.  The
     plan's counts give the loads without building any payload.
+
+    The methods take ``packets``, the packet of every term in term order, and
+    ``k1``, ``k2``, 1-based indices the caller has checked.
     """
 
     f: int
@@ -138,6 +143,54 @@ class DeliveryPlan(NamedTuple):
             len(m.strip.terms) + len(m.local.terms) + sum(len(u.cancel.terms) for u in m.users)
             for m in self.mirrors
         )
+
+    def server_signals(self, packets: Sequence[bytes]) -> list[tuple[int, bytes]]:
+        return list(zip(self.server.ids, self.server.payloads(packets, len(packets[0]))))
+
+    def mirror_signals(
+        self, k1: int, server_signals: Iterable[tuple[int, bytes]], packets: Sequence[bytes]
+    ) -> list[tuple[int, bytes]]:
+        mirror = self.mirrors[k1 - 1]
+        received = dict(server_signals)
+        try:
+            starts = list(map(received.__getitem__, mirror.strip.ids))
+        except KeyError as exc:
+            raise ValueError(f"missing server signal for id {exc.args[0]}") from None
+        if mirror.failure:
+            raise DecodingError(mirror.failure)
+        size = len(packets[0])
+        payloads = mirror.strip.payloads(packets, size, starts) + mirror.local.payloads(packets, size)
+        return list(zip(mirror.strip.ids + mirror.local.ids, payloads))
+
+    def decode(
+        self,
+        k1: int,
+        k2: int,
+        mirror_signals: Iterable[tuple[int, bytes]],
+        packets: Sequence[bytes],
+        wanted: Sequence[bytes],
+        held: frozenset[int] | None = None,
+    ) -> bytes:
+        """The file of user (k1, k2), whose own file's packets are ``wanted``.
+
+        ``held``, if given, are the 1-based rows the user's cache holds; every
+        row the plan reads from the cache must be among them.
+        """
+        user = self.mirrors[k1 - 1].users[k2 - 1]
+        if held is not None:
+            missing = [j + 1 for j in user.cached_rows if j + 1 not in held]
+            if missing:
+                raise DecodingError(f"user ({k1},{k2}) does not cache packet row {missing[0]}")
+        if user.failure:
+            raise DecodingError(user.failure)
+        received = dict(mirror_signals)
+        try:
+            starts = list(map(received.__getitem__, user.cancel.ids))
+        except KeyError as exc:
+            raise DecodingError(f"no signal from mirror {k1} for id {exc.args[0]}") from None
+        pieces = list(map(wanted.__getitem__, user.cached_rows))
+        pieces += user.cancel.payloads(packets, len(wanted[0]), starts)
+        return b"".join(map(pieces.__getitem__, user.order))
 
 
 def compile_plan(h: Hpda) -> DeliveryPlan:

@@ -3,12 +3,12 @@
 Every signal is a byte-wise XOR of library packets.  The grids alone fix which
 packets each signal combines; the demand only picks the files.  So each array
 is compiled once, on its first delivery, into a delivery plan of packet terms
-(:mod:`hpda.plan`), and the stages below execute it: every payload is one XOR
-reduction over a run of terms.
+(:mod:`hpda.plan`), which executes itself: every payload is one XOR reduction
+over a run of terms.  The stages below check their inputs and call the plan.
 
 Caches are honest: a receiver may only combine packets at rows its placement
 grid starred.  The plan checks every term once, when it is built, and the
-delivery stage that would need a forbidden packet raises ``DecodingError``,
+plan method that would need a forbidden packet raises ``DecodingError``,
 which flags an invalid array or transcript rather than silently producing
 garbage.  Payloads are ``bytes`` in the library and on the wire; they are ints
 only inside a reduction.
@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import add
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Mapping
 
 from .hierarchy import Hpda
 from .pda import STAR, _write_text
@@ -58,6 +57,8 @@ class FileLibrary:
     @classmethod
     def random(cls, n_files: int, f: int, packet_bytes: int, seed: int) -> FileLibrary:
         """Seeded pseudo-random payloads; identical seeds give identical bytes."""
+        if min(n_files, f, packet_bytes) < 1:  # checked before any bytes are drawn
+            raise ValueError("library dimensions must be positive")
         rng = random.Random(seed)
         files: list[tuple[bytes, ...]] = []
         # Drawn four files at a time, which bounds the transient blob.  The
@@ -167,53 +168,6 @@ def _demanded(lib: FileLibrary, d: DemandVector) -> list[bytes]:
     return list(chain.from_iterable(lib.packets[n - 1] for n in d.entries))
 
 
-def _server_signals(plan: DeliveryPlan, packets: list[bytes], size: int) -> list[tuple[int, bytes]]:
-    """Stage executors take ``packets``, the packet of every term in term
-    order (see :mod:`hpda.plan`), and ``size``, the bytes in a packet."""
-    return list(zip(plan.server.ids, plan.server.payloads(packets, size)))
-
-
-def _mirror_signals(
-    plan: DeliveryPlan,
-    k1: int,
-    server_signals: Iterable[tuple[int, bytes]],
-    packets: list[bytes],
-    size: int,
-) -> list[tuple[int, bytes]]:
-    mirror = plan.mirrors[k1 - 1]
-    received = dict(server_signals)
-    try:
-        starts = list(map(received.__getitem__, mirror.strip.ids))
-    except KeyError as exc:
-        raise ValueError(f"missing server signal for id {exc.args[0]}") from None
-    if mirror.failure:
-        raise DecodingError(mirror.failure)
-    payloads = mirror.strip.payloads(packets, size, starts) + mirror.local.payloads(packets, size)
-    return list(zip(mirror.strip.ids + mirror.local.ids, payloads))
-
-
-def _decode(
-    plan: DeliveryPlan,
-    k1: int,
-    k2: int,
-    mirror_signals: Iterable[tuple[int, bytes]],
-    packets: list[bytes],
-    wanted: Sequence[bytes],
-) -> bytes:
-    """The file of user (k1, k2), whose own file's packets are ``wanted``."""
-    user = plan.mirrors[k1 - 1].users[k2 - 1]
-    if user.failure:
-        raise DecodingError(user.failure)
-    received = dict(mirror_signals)
-    try:
-        starts = list(map(received.__getitem__, user.cancel.ids))
-    except KeyError as exc:
-        raise DecodingError(f"no signal from mirror {k1} for id {exc.args[0]}") from None
-    pieces = list(map(wanted.__getitem__, user.cached_rows))
-    pieces += user.cancel.payloads(packets, len(wanted[0]), starts)
-    return b"".join(map(pieces.__getitem__, user.order))
-
-
 def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
     """One multicast per id the mirrors cannot serve alone, ascending by id.
 
@@ -221,7 +175,7 @@ def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[in
     (demanded file of that cell's user, cell's row).
     """
     _check_inputs(h, lib, d)
-    return _server_signals(delivery_plan(h), _demanded(lib, d), lib.packet_bytes)
+    return delivery_plan(h).server_signals(_demanded(lib, d))
 
 
 def mirror_delivery(
@@ -241,9 +195,7 @@ def mirror_delivery(
     _check_inputs(h, lib, d)
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
-    return _mirror_signals(
-        delivery_plan(h), k1, server_signals, _demanded(lib, d), lib.packet_bytes
-    )
+    return delivery_plan(h).mirror_signals(k1, server_signals, _demanded(lib, d))
 
 
 def decode_user(
@@ -264,14 +216,10 @@ def decode_user(
     lib = cache.library
     _check_inputs(h, lib, d)
     wanted = lib.packets[d.demand(k1, k2) - 1]  # d has the array's shape, so this checks k1, k2
-    plan = delivery_plan(h)
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.
-    rows = frozenset(map(add, plan.mirrors[k1 - 1].users[k2 - 1].cached_rows, repeat(1)))
-    missing = rows - cache.user_rows.get((k1, k2), frozenset())
-    if missing:
-        raise DecodingError(f"user ({k1},{k2}) does not cache packet row {min(missing)}")
-    return _decode(plan, k1, k2, mirror_signals, _demanded(lib, d), wanted)
+    held = cache.user_rows.get((k1, k2), frozenset())
+    return delivery_plan(h).decode(k1, k2, mirror_signals, _demanded(lib, d), wanted, held)
 
 
 @dataclass(frozen=True)
@@ -336,14 +284,11 @@ def simulate(
     _check_inputs(h, lib, d)
     plan = delivery_plan(h)
     packets = _demanded(lib, d)
-    server = _server_signals(plan, packets, packet_bytes)
-    mirrors = {
-        k1: tuple(_mirror_signals(plan, k1, server, packets, packet_bytes))
-        for k1 in range(1, h.k1 + 1)
-    }
+    server = plan.server_signals(packets)
+    mirrors = {k1: tuple(plan.mirror_signals(k1, server, packets)) for k1 in range(1, h.k1 + 1)}
     transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
     success = all(
-        _decode(plan, k1, k2, mirrors[k1], packets, lib.packets[d.demand(k1, k2) - 1])
+        plan.decode(k1, k2, mirrors[k1], packets, lib.packets[d.demand(k1, k2) - 1])
         == lib.file(d.demand(k1, k2))
         for k1 in range(1, h.k1 + 1)
         for k2 in range(1, h.k2 + 1)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import hpda.cli
 import hpda.grids
 from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
 from hpda.cli import main
+from hpda.simulation import DecodingError
 
 
 def test_construct_pda_golden(capsys):
@@ -337,6 +339,33 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, error, code, stderr",
+    [
+        (["verify", "{hpda}"], "verify_hpda", ValueError, 2, "error: boom\n"),
+        (["simulate", "{hpda}", "--files", "6"], "simulate", ZeroDivisionError, 2, "error: boom\n"),
+        (["simulate", "{hpda}", "--files", "6"], "simulate", DecodingError, 1, "failure: boom\n"),
+    ],
+    ids=["value-error", "zero-division", "decoding-error"],
+)
+def test_main_alone_maps_exceptions_to_exit_codes(
+    tmp_path, capsys, monkeypatch, argv, name, error, code, stderr
+):
+    # The handlers catch nothing but build_hybrid's ValueError; whatever a
+    # library call raises inside them reaches main, which prints one line.
+    hpda_path = tmp_path / "g.hpda"
+    hpda_path.write_text(format_hpda(build_grouping(3, 2, 4)))
+
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(hpda.cli, name, boom)
+    assert main([a.format(hpda=hpda_path) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_usage_errors_exit_2():

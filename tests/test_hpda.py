@@ -5,6 +5,8 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 import hpda.hierarchy
@@ -530,6 +532,19 @@ def test_grouping_equals_the_papers_composition():
         assert format_hpda(h) == format_hpda(ref), (k1, k2, t)
         assert h.s_m == ref.s_m, (k1, k2, t)
         assert h == ref, (k1, k2, t)
+        # The id sets' closed forms.  Each mirror caches Z1 rows; block g keeps
+        # every MN id (the rank of a (t+1)-subset) that meets its users, plus
+        # its own K2*Z1 fresh ids, which the mirrors serve.
+        k, s, z1 = k1 * k2, math.comb(k1 * k2, t + 1), math.comb(k1 * k2 - k2, t - k2)
+        subsets = list(combinations(range(k), t + 1))
+        assert [column.count(S) for column in zip(*h.mirror.grid)] == [z1] * k1
+        assert h.s_m == frozenset(range(s + 1, s + k * z1 + 1)), (k1, k2, t)
+        for g, ids in enumerate(h.s_k):
+            users = set(range(g * k2, (g + 1) * k2))
+            inherited = {r for r, sub in enumerate(subsets, start=1) if users.intersection(sub)}
+            fresh = range(s + g * k2 * z1 + 1, s + (g + 1) * k2 * z1 + 1)
+            assert ids == inherited.union(fresh), (k1, k2, t, g)
+            assert len(ids) == k2 * z1 + s - math.comb(k - k2, t + 1), (k1, k2, t, g)
 
 
 def test_hybrid_equals_the_papers_composition():
@@ -539,6 +554,17 @@ def test_hybrid_equals_the_papers_composition():
         assert format_hpda(h) == format_hpda(ref), (k1, t1, k2, t2)
         assert h.s_m == ref.s_m, (k1, t1, k2, t2)
         assert h == ref, (k1, t1, k2, t2)
+        # The id sets' closed forms.  Block c holds the S2 ids of the copy of
+        # each outer integer in column c, and the fresh ids of the column's
+        # Z1 star copies, which the mirrors serve.
+        s1, s2, z1 = outer.s, inner.s, outer.z
+        assert h.s_m == frozenset(range(s1 * s2 + 1, (s1 + z1 * k1) * s2 + 1))
+        for c, block in enumerate(h.blocks):
+            expected = set(range((s1 + c * z1) * s2 + 1, (s1 + (c + 1) * z1) * s2 + 1))
+            for cell in {row[c] for row in outer.grid} - {S}:
+                expected.update(range((cell - 1) * s2 + 1, cell * s2 + 1))
+            assert h.s_k[c] == expected, (k1, t1, k2, t2, c)
+            assert block.s == outer.f * s2, (k1, t1, k2, t2, c)
 
 
 def test_parse_scans_each_blocks_ids_once(monkeypatch):

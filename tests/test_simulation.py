@@ -403,6 +403,15 @@ def test_library_validation():
         FileLibrary(n_files=1, f=1, packet_bytes=2, packets=((b"abc",),))
 
 
+def test_library_random_checks_dimensions_before_drawing():
+    # A packet size of 0 or -1 used to reach range() or randbytes() and leak
+    # their messages; every dimension now gets the constructor's.
+    for bad in (0, -1):
+        for dims in [(bad, 15, 8), (6, bad, 8), (6, 15, bad)]:
+            with pytest.raises(ValueError, match="^library dimensions must be positive$"):
+                FileLibrary.random(*dims, seed=0)
+
+
 def test_library_random_is_one_draw_of_the_whole_library():
     for n_files, f, packet_bytes in [(1, 1, 1), (5, 3, 3), (9, 7, 5), (6, 15, 2), (10, 1, 13)]:
         blob = random.Random(77).randbytes(n_files * f * packet_bytes)

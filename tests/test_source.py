@@ -1,4 +1,5 @@
-"""Static checks on the package source: no unused import, no dead private name."""
+"""Static checks on the package source: no unused import, no dead private name,
+and exit codes decided in ``cli.main`` alone."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,26 @@ def test_every_private_module_level_name_is_referenced():
         if name not in referenced
     ]
     assert dead == []
+
+
+def test_only_main_maps_exceptions_to_exit_codes():
+    # A handler may catch only around build_hybrid, where a ValueError means
+    # an input fails verification (exit 3); main maps everything else.
+    handlers = [
+        node
+        for node in TREES["cli.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 5
+    guarded = [
+        sorted(
+            call.func.id
+            for stmt in node.body
+            for call in ast.walk(stmt)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        )
+        for handler in handlers
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Try)
+    ]
+    assert guarded == [["build_hybrid"]]
