@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .hierarchy import grouping_params, hybrid_params
+from .pda import _mn_params
 
 Rational = Union[int, str, float, Fraction]
 Rate = Callable[[Rational, int], Fraction]
@@ -129,17 +130,20 @@ def _clamped(rate: Rate, memory: Fraction, content: Fraction, k: int) -> Fractio
     return rate(ratio, k)
 
 
+def _tail(p: SystemParams, s: SplitPoint, rate: Rate, k: int) -> Fraction:
+    """The second subsystem's term (1-a)*r((1-b)M2/((1-a)N), k), which every
+    load below ends with; zero at a = 1, its clamped limit."""
+    if s.alpha == 1:
+        return Fraction(0)
+    return (1 - s.alpha) * _clamped(rate, (1 - s.beta) * p.m2, (1 - s.alpha) * p.n_files, k)
+
+
 def _r2(p: SystemParams, s: SplitPoint, rate: Rate = r_c) -> Fraction:
     """Second-layer load both baselines share:
     R2 = a*r(b*M2/(aN), K2) + (1-a)*r((1-b)M2/((1-a)N), K2)."""
-    a, b = s.alpha, s.beta
-    n = Fraction(p.n_files)
-    r2 = Fraction(0)
-    if a > 0:
-        r2 += a * _clamped(rate, b * p.m2, a * n, p.k2)
-    if a < 1:
-        r2 += (1 - a) * _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k2)
-    return r2
+    a = s.alpha
+    head = a * _clamped(rate, s.beta * p.m2, a * p.n_files, p.k2) if a else 0
+    return head + _tail(p, s, rate, p.k2)
 
 
 def knmd_loads(
@@ -153,14 +157,9 @@ def knmd_loads(
     single-layer rate r is ``rate``: the centralized ``r_c`` by default, as
     ``compare`` and ``search_min_r1`` use it, or KNMD's own decentralized ``r_d``.
     """
-    a, b = s.alpha, s.beta
-    n = Fraction(p.n_files)
-    r1 = Fraction(0)
-    if a > 0:
-        r1 += a * p.k2 * _clamped(rate, p.m1, a * n, p.k1)
-    if a < 1:
-        r1 += (1 - a) * _clamped(rate, (1 - b) * p.m2, (1 - a) * n, p.k1 * p.k2)
-    return r1, _r2(p, s, rate)
+    a = s.alpha
+    head = a * p.k2 * _clamped(rate, p.m1, a * p.n_files, p.k1) if a else 0
+    return head + _tail(p, s, rate, p.k1 * p.k2), _r2(p, s, rate)
 
 
 def wwcy_loads(p: SystemParams, s: SplitPoint) -> tuple[Fraction, Fraction]:
@@ -169,14 +168,9 @@ def wwcy_loads(p: SystemParams, s: SplitPoint) -> tuple[Fraction, Fraction]:
     Shares KNMD's R2; its first-layer term multiplies the two layers' loads:
     R1 = a*r_c(M1/(aN), K1)*r_c(b*M2/(aN), K2) + (1-a)*r_c((1-b)M2/((1-a)N), K1K2).
     """
-    a, b = s.alpha, s.beta
-    n = Fraction(p.n_files)
-    r1 = Fraction(0)
-    if a > 0:
-        r1 += a * _clamped(r_c, p.m1, a * n, p.k1) * _clamped(r_c, b * p.m2, a * n, p.k2)
-    if a < 1:
-        r1 += (1 - a) * _clamped(r_c, (1 - b) * p.m2, (1 - a) * n, p.k1 * p.k2)
-    return r1, _r2(p, s)
+    a, an = s.alpha, s.alpha * p.n_files
+    head = a * _clamped(r_c, p.m1, an, p.k1) * _clamped(r_c, s.beta * p.m2, an, p.k2) if a else 0
+    return head + _tail(p, s, r_c, p.k1 * p.k2), _r2(p, s)
 
 
 _FORMULAS = ("knmd", "wwcy")
@@ -254,7 +248,8 @@ def optimal_r2(p: SystemParams) -> Fraction:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One scheme evaluated at one memory point of a sweep."""
+    """One scheme evaluated at one memory point of a sweep; ``split`` is the
+    argmin (alpha, beta) of a grid search row, and None on every other row."""
 
     scheme: str
     t: int
@@ -264,10 +259,7 @@ class ComparisonRow:
     r2: Fraction | None
     f: int | None
     feasible: bool = True
-
-
-def _mn_params(k: int, t: int) -> tuple[int, int, int, int]:
-    return (k, math.comb(k, t), math.comb(k - 1, t - 1), math.comb(k, t + 1))
+    split: SplitPoint | None = None
 
 
 def compare_sweep(k1: int, k2: int, n: int, t_range: Iterable[int]) -> list[ComparisonRow]:
@@ -279,37 +271,24 @@ def compare_sweep(k1: int, k2: int, n: int, t_range: Iterable[int]) -> list[Comp
     ratios), both baselines at alpha = beta = 1, and the per-layer optima
     ("bound": R1 lower bound and optimal R2).
     """
+    whole = SplitPoint(alpha=Fraction(1), beta=Fraction(1))
     rows: list[ComparisonRow] = []
     for t in t_range:
         loads, _, _ = grouping_params(k1, k2, t)
         m1r, m2r = loads.m1_ratio, loads.m2_ratio
         params = SystemParams(k1=k1, k2=k2, n_files=n, m1=m1r * n, m2=m2r * n)
-        rows.append(
-            ComparisonRow("grouping", t, m1r, m2r, loads.r1, loads.r2, loads.f)
-        )
         t1, t2 = m1r * k1, m2r * k2
-        if (
-            t1.denominator == 1
-            and t2.denominator == 1
-            and 1 <= t1 <= k1
-            and 1 <= t2 <= k2
-        ):
-            hybrid = hybrid_params(_mn_params(k1, int(t1)), _mn_params(k2, int(t2)))
-            rows.append(
-                ComparisonRow("hybrid-mn", t, m1r, m2r, hybrid.r1, hybrid.r2, hybrid.f)
-            )
-        else:
-            rows.append(
-                ComparisonRow("hybrid-mn", t, m1r, m2r, None, None, None, feasible=False)
-            )
-        whole = SplitPoint(alpha=Fraction(1), beta=Fraction(1))
-        knmd_r1, knmd_r2 = knmd_loads(params, whole)
-        rows.append(ComparisonRow("knmd", t, m1r, m2r, knmd_r1, knmd_r2, None))
-        wwcy_r1, wwcy_r2 = wwcy_loads(params, whole)
-        rows.append(ComparisonRow("wwcy", t, m1r, m2r, wwcy_r1, wwcy_r2, None))
-        rows.append(
-            ComparisonRow(
-                "bound", t, m1r, m2r, lower_bound_r1(params), optimal_r2(params), None
-            )
+        hybrid = (None, None, None)
+        if t1.denominator == 1 and t2.denominator == 1 and 1 <= t1 <= k1 and 1 <= t2 <= k2:
+            h = hybrid_params(_mn_params(k1, int(t1)), _mn_params(k2, int(t2)))
+            hybrid = (h.r1, h.r2, h.f)
+        table = (  # (scheme, r1, r2, f); hybrid-mn has no r1 where it is infeasible
+            ("grouping", loads.r1, loads.r2, loads.f),
+            ("hybrid-mn", *hybrid),
+            ("knmd", *knmd_loads(params, whole), None),
+            ("wwcy", *wwcy_loads(params, whole), None),
+            ("bound", lower_bound_r1(params), optimal_r2(params), None),
         )
+        for scheme, r1, r2, f in table:
+            rows.append(ComparisonRow(scheme, t, m1r, m2r, r1, r2, f, feasible=r1 is not None))
     return rows

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .analysis import (
@@ -22,7 +23,6 @@ from .hierarchy import (
     Hpda,
     build_grouping,
     build_hybrid,
-    grouping_params,
     load_hpda,
     loads_from_hpda,
     parse_hpda,
@@ -127,52 +127,37 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
     rows = compare_sweep(args.k1, args.k2, args.n, t_list)
     step = Fraction(args.grid_step)
-    searched = []
-    for t in t_list:
-        loads, _, _ = grouping_params(args.k1, args.k2, t)
-        params = SystemParams(
-            k1=args.k1,
-            k2=args.k2,
-            n_files=args.n,
-            m1=loads.m1_ratio * args.n,
-            m2=loads.m2_ratio * args.n,
-        )
+    for row in [row for row in rows if row.scheme == "grouping"]:
+        params = SystemParams(args.k1, args.k2, args.n, row.m1_ratio * args.n, row.m2_ratio * args.n)
         for formula in ("knmd", "wwcy"):
             point, r1, r2 = search_min_r1(formula, params, step)
-            searched.append(
-                (f"{formula}-search", t, loads.m1_ratio, loads.m2_ratio, r1, r2, None, point)
-            )
-    header = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f")
-    # (scheme, t, m1_ratio, m2_ratio, r1, r2, f, argmin SplitPoint of a search)
-    records = [
-        (r.scheme, r.t, r.m1_ratio, r.m2_ratio, r.r1, r.r2, r.f, None) for r in rows
-    ] + searched
-    records.sort(key=lambda rec: (rec[1], rec[0]))
+            rows.append(replace(row, scheme=f"{formula}-search", r1=r1, r2=r2, f=None, split=point))
+    rows.sort(key=lambda row: (row.t, row.scheme))
 
     if args.format == "json":
-        payload = []
-        for scheme, t, m1, m2, r1, r2, f, point in records:
-            payload.append(
-                {
-                    "scheme": scheme,
-                    "t": t,
-                    "m1_ratio": str(m1),
-                    "m2_ratio": str(m2),
-                    "r1": None if r1 is None else str(r1),
-                    "r2": None if r2 is None else str(r2),
-                    "r1_value": None if r1 is None else float(r1),
-                    "r2_value": None if r2 is None else float(r2),
-                    "f": f,
-                    "feasible": r1 is not None,
-                    "alpha": None if point is None else str(point.alpha),
-                    "beta": None if point is None else str(point.beta),
-                }
-            )
+        payload = [
+            {
+                "scheme": row.scheme,
+                "t": row.t,
+                "m1_ratio": str(row.m1_ratio),
+                "m2_ratio": str(row.m2_ratio),
+                "r1": None if row.r1 is None else str(row.r1),
+                "r2": None if row.r2 is None else str(row.r2),
+                "r1_value": None if row.r1 is None else float(row.r1),
+                "r2_value": None if row.r2 is None else float(row.r2),
+                "f": row.f,
+                "feasible": row.feasible,
+                "alpha": None if row.split is None else str(row.split.alpha),
+                "beta": None if row.split is None else str(row.split.beta),
+            }
+            for row in rows
+        ]
         print(json.dumps(payload, indent=2))
     else:
+        header = ("scheme", "t", "m1_ratio", "m2_ratio", "r1", "r2", "f")
         print("\t".join(header))
-        for rec in records:
-            print("\t".join(_fmt_cell(v) for v in rec[:-1]))
+        for row in rows:
+            print("\t".join(_fmt_cell(getattr(row, name)) for name in header))
     return EXIT_OK
 
 

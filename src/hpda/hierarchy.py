@@ -211,6 +211,8 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
 
 def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
     """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t)."""
+    if k1 < 1 or k2 < 1:
+        raise ValueError("K1 and K2 must be positive")
     k = k1 * k2
     if not k2 < t < k:
         raise ValueError(f"t must satisfy {k2} < t < {k}, got {t}")

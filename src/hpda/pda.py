@@ -98,11 +98,26 @@ def _distinct_ids(rows) -> frozenset[int]:
     return frozenset(chain.from_iterable(rows)) - {STAR}
 
 
+# Cells of the largest MN array :func:`_mn_rows` builds, about 80 MB of tuple
+# slots; grouping(4,4,8) has 205,920.
+_MAX_MN_CELLS = 10**7
+
+
+def _mn_params(k: int, t: int) -> tuple[int, int, int, int]:
+    """(K, F, Z, S) of :func:`mn_pda`: (k, C(k,t), C(k-1,t-1), C(k,t+1))."""
+    return k, math.comb(k, t), math.comb(k - 1, t - 1), math.comb(k, t + 1)
+
+
 def _mn_rows(k: int, t: int) -> list[tuple[Cell, ...]]:
     """Rows of :func:`mn_pda`: the (t+1)-subset of rank r writes r at
     (subset - {c}, c) for each member c, and every other cell is a star.
     Tuples, so that a block's slices of them are kept as they are, not copied.
+    An array of more than ``_MAX_MN_CELLS`` cells is refused before any is made.
     """
+    cells = math.comb(k, t) * k
+    if cells > _MAX_MN_CELLS:  # str() refuses ints of more than 4,300 digits
+        size = cells if cells < 10**100 else f"about 10^{math.log10(cells):.0f}"
+        raise ValueError(f"MN array for k={k}, t={t} has {size} cells, more than {_MAX_MN_CELLS}")
     rows = {sub: [STAR] * k for sub in combinations(range(1, k + 1), t)}  # in lexicographic order
     for r, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1):
         for i, c in enumerate(sub):
@@ -120,13 +135,7 @@ def mn_pda(k: int, t: int) -> Pda:
     """
     if not 1 <= t <= k:
         raise ValueError(f"t must be in [1, {k}], got {t}")
-    return Pda(
-        k=k,
-        f=math.comb(k, t),
-        z=math.comb(k - 1, t - 1),
-        s=math.comb(k, t + 1),
-        grid=_mn_rows(k, t),
-    )
+    return Pda(*_mn_params(k, t), grid=_mn_rows(k, t))
 
 
 def verify_pda(p: Pda) -> VerificationReport:

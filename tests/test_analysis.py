@@ -266,6 +266,11 @@ def test_lower_bound_examples():
     assert lower_bound_r1(SystemParams(3, 2, 6, 0, 0)) == 6
 
 
+def test_lower_bound_rejects_pooled_memory_above_n():
+    with pytest.raises(ValueError, match=r"^pooled memory ratio 4/3 outside \[0, 1\]$"):
+        lower_bound_r1(SystemParams(3, 2, 6, 4, 4))
+
+
 def test_lower_bound_matches_grouping_r1_at_lattice():
     for k1, k2 in [(2, 2), (3, 2), (2, 3)]:
         k = k1 * k2
@@ -293,6 +298,7 @@ def test_compare_sweep_golden_point():
     assert not by_scheme["hybrid-mn"].feasible  # 3*(2/5) is not an integer
     assert by_scheme["knmd"].r1 == 2 * r_c(Fraction(2, 5), 3)
     assert by_scheme["wwcy"].r1 == r_c(Fraction(2, 5), 3) * r_c(Fraction(4, 15), 2)
+    assert all(r.split is None for r in rows)  # only the CLI's search rows carry one
 
 
 def test_compare_sweep_feasible_hybrid_row():

@@ -290,6 +290,31 @@ def test_compare_default_step_golden_json(capsys):
     assert [tuple(row[k] for k in keys) for row in rows] == COMPARE_GOLDEN_ROWS
 
 
+# The table compare --k1 3 --k2 2 --n 6 --t 4,5 prints, byte for byte.
+COMPARE_GOLDEN_TABLE = (
+    "scheme\tt\tm1_ratio\tm2_ratio\tr1\tr2\tf\n"
+    "bound\t4\t0.4000\t0.2667\t0.4000\t1.2000\t-\n"
+    "grouping\t4\t0.4000\t0.2667\t0.4000\t1.2000\t15\n"
+    "hybrid-mn\t4\t0.4000\t0.2667\t-\t-\t-\n"
+    "knmd\t4\t0.4000\t0.2667\t1.7333\t1.2000\t-\n"
+    "knmd-search\t4\t0.4000\t0.2667\t0.5340\t1.2033\t-\n"
+    "wwcy\t4\t0.4000\t0.2667\t1.0400\t1.2000\t-\n"
+    "wwcy-search\t4\t0.4000\t0.2667\t0.5340\t1.2033\t-\n"
+    "bound\t5\t0.6667\t0.1667\t0.1667\t1.5000\t-\n"
+    "grouping\t5\t0.6667\t0.1667\t0.1667\t1.5000\t6\n"
+    "hybrid-mn\t5\t0.6667\t0.1667\t-\t-\t-\n"
+    "knmd\t5\t0.6667\t0.1667\t0.6667\t1.5000\t-\n"
+    "knmd-search\t5\t0.6667\t0.1667\t0.2507\t1.5033\t-\n"
+    "wwcy\t5\t0.6667\t0.1667\t0.5000\t1.5000\t-\n"
+    "wwcy-search\t5\t0.6667\t0.1667\t0.2507\t1.5033\t-\n"
+)
+
+
+def test_compare_default_step_golden_table(capsys):
+    assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4,5"]) == 0
+    assert capsys.readouterr().out == COMPARE_GOLDEN_TABLE
+
+
 def test_compare_rejects_grid_beyond_bound(capsys):
     argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4"]
     assert main([*argv, "--grid-step", "1/1000000000000"]) == 2
@@ -366,6 +391,37 @@ def test_main_alone_maps_exceptions_to_exit_codes(
     captured = capsys.readouterr()
     assert captured.err == stderr
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-hpda", "grouping", "--k1", "-2", "--k2", "-2", "--t", "3"],
+        ["construct-hpda", "grouping", "--k1", "0", "--k2", "3", "--t", "2"],
+        ["compare", "--k1", "-2", "--k2", "-2", "--n", "6", "--t", "3"],
+    ],
+    ids=["grouping-negative", "grouping-zero", "compare-negative"],
+)
+def test_non_positive_grouping_dimensions_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: K1 and K2 must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-pda", "mn", "--k", "40", "--t", "20"],
+        ["construct-hpda", "grouping", "--k1", "8", "--k2", "5", "--t", "20"],
+    ],
+    ids=["construct-pda", "construct-hpda"],
+)
+def test_mn_grid_over_budget_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: MN array for k=40, t=20 has 5513861152800 cells, more than 10000000\n"
+    )
 
 
 def test_usage_errors_exit_2():

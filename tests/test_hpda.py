@@ -449,6 +449,12 @@ def test_hpda_constructor_validates_shape():
         Hpda(k1=3, k2=3, f=6, z1=3, z2=2, mirror=h.mirror, blocks=h.blocks, s_m=h.s_m)
     with pytest.raises(ValueError):
         Hpda(k1=2, k2=3, f=5, z1=3, z2=2, mirror=h.mirror, blocks=h.blocks, s_m=h.s_m)
+    shape = dict(k2=3, f=6, z1=3, z2=2, mirror=h.mirror, s_m=h.s_m)
+    with pytest.raises(ValueError, match="^K1, K2 and F must be positive$"):
+        Hpda(k1=0, blocks=(), **shape)
+    narrow = Pda(k=2, f=6, z=6, s=0, grid=((S, S),) * 6)
+    with pytest.raises(ValueError, match="^block 2 is 6x2, expected 6x3$"):
+        Hpda(k1=2, blocks=(h.blocks[0], narrow), **shape)
 
 
 def test_grouping_block_sizes_match_closed_forms():
@@ -600,3 +606,40 @@ def test_grouping_builds_no_mn_array(monkeypatch):
     h = build_grouping(3, 2, 4)
     assert made == [(15, 2)] * 3
     assert h == golden_15x9()
+
+
+def test_mirror_placement_rejects_uneven_rows_and_invalid_cells():
+    with pytest.raises(ValueError, match="^mirror row 2 has 1 entries, expected 2$"):
+        MirrorPlacement(grid=((S, None), (S,)))
+    with pytest.raises(ValueError, match="^mirror row 1 holds invalid cell 1$"):
+        MirrorPlacement(grid=((S, 1),))
+
+
+def test_verify_flags_a_blocks_declared_z_as_b2():
+    h = golden_6x8()
+    b = h.blocks[0]
+    blocks = (Pda(k=b.k, f=b.f, z=b.z + 1, s=b.s, grid=b.grid), *h.blocks[1:])
+    bad = Hpda(k1=h.k1, k2=h.k2, f=h.f, z1=h.z1, z2=h.z2, mirror=h.mirror, blocks=blocks, s_m=h.s_m)
+    report = verify_hpda(bad)
+    assert not report.valid
+    assert f"B2 at (1,): block 1 declares Z={h.z2 + 1}, expected {h.z2}" in map(
+        str, report.violations
+    )
+
+
+@pytest.mark.parametrize("k1, k2, t", [(-2, -2, 3), (0, 3, 2), (3, 0, 2), (-1, 4, 5)])
+def test_grouping_rejects_non_positive_dimensions(k1, k2, t):
+    for build in (grouping_params, build_grouping):
+        with pytest.raises(ValueError, match="^K1 and K2 must be positive$"):
+            build(k1, k2, t)
+
+
+def test_grouping_refuses_an_mn_grid_over_budget_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^MN array for k=40, t=20 has 5513861152800 cells"):
+            build_grouping(8, 5, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

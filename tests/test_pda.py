@@ -2,10 +2,12 @@
 
 import io
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+import hpda.pda
 from hpda import (
     STAR,
     Pda,
@@ -240,3 +242,38 @@ def test_pda_constructor_validates_shape():
         Pda(k=2, f=2, z=1, s=1, grid=((STAR, 1), (1,)))
     with pytest.raises(ValueError):
         Pda(k=2, f=2, z=1, s=1, grid=((STAR, 0), (1, STAR)))
+    with pytest.raises(ValueError, match="^integer count S=-1 must be nonnegative$"):
+        Pda(k=2, f=2, z=1, s=-1, grid=((STAR, 1), (1, STAR)))
+    with pytest.raises(ValueError, match="^grid has 1 rows, declared F=2$"):
+        Pda(k=2, f=2, z=1, s=1, grid=((STAR, 1),))
+
+
+def test_parse_ignores_trailing_blank_lines():
+    assert parse_pda(format_pda(mn_pda(3, 1)) + "\n  \n\t\n") == mn_pda(3, 1)
+
+
+def test_mn_pda_refuses_a_grid_over_budget_before_allocating():
+    # C(40,20) rows of 40 cells: 5.5e12 cells, refused from math.comb alone.
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match="^MN array for k=40, t=20 has 5513861152800 cells, more than 10000000$"
+        ):
+            mn_pda(40, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mn_budget_names_a_size_too_long_to_print_by_its_magnitude():
+    with pytest.raises(ValueError, match=r"^MN array for k=20000, t=10000 has about 10\^6023 cells"):
+        mn_pda(20000, 10000)
+
+
+def test_mn_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(hpda.pda, "_MAX_MN_CELLS", 16)
+    p = mn_pda(4, 1)  # exactly the budget
+    assert p.f * p.k == 16 and verify_pda(p).valid
+    with pytest.raises(ValueError, match="has 24 cells, more than 16"):
+        mn_pda(4, 2)

@@ -160,6 +160,13 @@ def test_mirror_delivery_missing_server_signal(golden):
         mirror_delivery(h, lib, d, 1, server)
 
 
+def test_mirror_delivery_rejects_mirror_index_zero(golden):
+    h, lib, d = golden
+    server = server_delivery(h, lib, d)
+    with pytest.raises(ValueError, match=r"^mirror index 0 outside \[1, 3\]$"):
+        mirror_delivery(h, lib, d, 0, server)
+
+
 def test_decode_user_recovers_requested_file(golden):
     h, lib, d = golden
     cache = place(h, lib)
@@ -401,6 +408,10 @@ def test_library_validation():
         FileLibrary(n_files=1, f=2, packet_bytes=2, packets=((b"ab",),))
     with pytest.raises(ValueError):
         FileLibrary(n_files=1, f=1, packet_bytes=2, packets=((b"abc",),))
+    with pytest.raises(ValueError, match="^library dimensions must be positive$"):
+        FileLibrary(n_files=0, f=1, packet_bytes=1, packets=())
+    with pytest.raises(ValueError, match="^expected 2 files, got 1$"):
+        FileLibrary(n_files=2, f=1, packet_bytes=2, packets=((b"ab",),))
 
 
 def test_library_random_checks_dimensions_before_drawing():
