@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, NoReturn, Sequence
 from .pda import STAR, Cell, PdaFormatError, Violation
 
 if TYPE_CHECKING:
-    from .hierarchy import Hpda, MirrorPlacement
+    from .hierarchy import Hpda
     from .pda import Pda
 
 _MIRROR_TOKENS = {STAR: STAR, "-": None}
@@ -35,29 +35,30 @@ class Occurrences(NamedTuple):
     ``ids`` are in first-occurrence order of the scan that runs block by
     block, each block row by row; the run of ``ids[i]`` is
     ``terms[offsets[i]:offsets[i + 1]]``, in that scan's order.
-    ``stars[t]`` is 1 where the cell of term t is a star, else 0.
+    The placement: ``stars[t]`` is 1 where the cell of term t is a star, and
+    ``cached[t]`` 1 where its block's mirror caches its row, else 0 (no
+    ``cached`` bytes for a single-layer array).
     """
 
     ids: tuple[int, ...]
     offsets: array
     terms: array
     stars: bytes
+    cached: bytes
 
     def runs(self) -> zip:
         """(id, first, end) of every run, in ``ids`` order."""
         return zip(self.ids, self.offsets, self.offsets[1:])
 
 
-def star_columns(grid: Sequence[Sequence], width: int) -> bytes:
-    """1 where a cell of ``grid`` is a star, else 0, column after column."""
-    flat = bytes(map(eq, chain.from_iterable(grid), repeat(STAR)))
-    return b"".join(flat[c::width] for c in range(width))
-
-
-def build_index(grids: Sequence[Sequence[Sequence[Cell]]], f: int, k2: int) -> Occurrences:
-    """The occurrence index of blocks with ``f`` rows of ``k2`` cells each."""
+def build_index(
+    grids: Sequence[Sequence[Sequence[Cell]]], f: int, k2: int, mirror: Sequence[Sequence]
+) -> Occurrences:
+    """The occurrence index of blocks with ``f`` rows of ``k2`` cells each,
+    block g cached by column g of the F x K1 ``mirror`` grid (empty for a
+    single-layer array)."""
     runs: defaultdict[Cell, list[int]] = defaultdict(list)
-    stars = []
+    stars, cached = [], []
     for g, grid in enumerate(grids):
         first, end = g * k2 * f, (g + 1) * k2 * f
         terms = chain.from_iterable(map(range, range(first, first + f), repeat(end), repeat(f)))
@@ -66,11 +67,14 @@ def build_index(grids: Sequence[Sequence[Sequence[Cell]]], f: int, k2: int) -> O
         for term, cell in compress(zip(terms, cells), ints):
             runs[cell].append(term)
         stars.extend(ints.translate(_FLIP)[c::k2] for c in range(k2))
+        if mirror:
+            cached.append(bytes(map(eq, map(itemgetter(g), mirror), repeat(STAR))) * k2)
     return Occurrences(
         ids=tuple(runs),
         offsets=array("i", accumulate(map(len, runs.values()), initial=0)),
         terms=array("i", chain.from_iterable(runs.values())),
         stars=b"".join(stars),
+        cached=b"".join(cached),
     )
 
 
@@ -135,15 +139,13 @@ def _locate_error(lines: list[str], lead: int, width: int) -> NoReturn:
     raise AssertionError("the grid failed the bulk check but no token is invalid")
 
 
-def mirror_only_ids(occ: Occurrences, mirror: MirrorPlacement, k2: int) -> frozenset[int]:
+def mirror_only_ids(occ: Occurrences, f: int, k2: int) -> frozenset[int]:
     """Ids that occur in exactly one block and only on rows its mirror caches."""
-    f, terms = mirror.f, occ.terms
-    kf, cached = k2 * f, star_columns(mirror.grid, mirror.k1)
+    kf, terms, cached = k2 * f, occ.terms, occ.cached
     return frozenset(
         s
         for s, lo, hi in occ.runs()
-        if terms[lo] // kf == terms[hi - 1] // kf
-        and all(cached[t // kf * f + t % f] for t in terms[lo:hi])
+        if terms[lo] // kf == terms[hi - 1] // kf and all(map(cached.__getitem__, terms[lo:hi]))
     )
 
 
@@ -230,7 +232,7 @@ def _block_violations(
 
 def pda_violations(p: Pda) -> list[Violation]:
     """C1-C3 of a single-layer array, from a transient index of its grid."""
-    occ = build_index((p.grid,), p.f, p.k)
+    occ = build_index((p.grid,), p.f, p.k, ())
     (c3,), _ = _pair_violations(occ, p.f, p.k, 1, None)
     return _block_violations(occ, 0, p.f, p.k, p.z, p.s, len(p.integer_set()), c3)
 
@@ -238,17 +240,16 @@ def pda_violations(p: Pda) -> list[Violation]:
 def hpda_violations(h: Hpda) -> list[Violation]:
     """B1-B4 of an HPDA, from its occurrence index."""
     f, k2, occ = h.f, h.k2, h.occurrences
-    mirror = star_columns(h.mirror.grid, h.k1)
+    kf, cached = k2 * f, occ.cached
     violations = []
     for g in range(h.k1):
-        stars = mirror.count(1, g * f, (g + 1) * f)
+        stars = cached.count(1, g * kf, g * kf + f)  # mirror g's column, as its block's first
         if stars != h.z1:
             violations.append(
                 Violation("B1", (g + 1,), f"mirror column {g + 1} has {stars} stars, expected {h.z1}")
             )
-    # Per term: the mirror bit of the term's block and row, ORed with the
-    # star bit byte by byte (both are 0 or 1, so one big-integer OR does it).
-    cached = b"".join(mirror[g * f : (g + 1) * f] * k2 for g in range(h.k1))
+    # Per term: the star bit ORed with the mirror bit byte by byte (both are 0
+    # or 1, so one big-integer OR does it).
     cover = int.from_bytes(occ.stars, "big") | int.from_bytes(cached, "big")
     c3, b4 = _pair_violations(occ, f, k2, h.k1, cover.to_bytes(len(cached), "big"))
     for g, block in enumerate(h.blocks):
@@ -263,8 +264,8 @@ def hpda_violations(h: Hpda) -> list[Violation]:
     spans = dict(zip(occ.ids, zip(occ.offsets, occ.offsets[1:])))
     for s in sorted(h.s_m):
         lo, hi = spans.get(s, (0, 0))
-        cells = list(map(_cell, occ.terms[lo:hi], repeat(f), repeat(k2)))
-        owners = {g for g, _, _ in cells}
+        run = occ.terms[lo:hi]
+        owners = {t // kf for t in run}
         if len(owners) != 1:
             violations.append(
                 Violation(
@@ -273,13 +274,10 @@ def hpda_violations(h: Hpda) -> list[Violation]:
                     f"mirror-only id {s} occurs in {len(owners)} blocks, expected exactly 1",
                 )
             )
-        for g, j, c in cells:
-            if not mirror[(g - 1) * f + j - 1]:
-                violations.append(
-                    Violation(
-                        "B3",
-                        (g, j, c),
-                        f"mirror-only id {s} at block {g} row {j} lacks a mirror star",
-                    )
+        for g, j, c in (_cell(t, f, k2) for t in run if not cached[t]):
+            violations.append(
+                Violation(
+                    "B3", (g, j, c), f"mirror-only id {s} at block {g} row {j} lacks a mirror star"
                 )
+            )
     return violations + b4

@@ -133,8 +133,8 @@ class Hpda:
         if self._occurrence_index is None:
             from .grids import build_index
 
-            grids = [block.grid for block in self.blocks]
-            object.__setattr__(self, "_occurrence_index", build_index(grids, self.f, self.k2))
+            occ = build_index([b.grid for b in self.blocks], self.f, self.k2, self.mirror.grid)
+            object.__setattr__(self, "_occurrence_index", occ)
         return self._occurrence_index
 
 
@@ -159,8 +159,8 @@ def _assemble(
     if s_m is None:
         from .grids import build_index, mirror_only_ids
 
-        occ = build_index([block.grid for block in blocks], mirror.f, k2)
-        s_m = mirror_only_ids(occ, mirror, k2)
+        occ = build_index([block.grid for block in blocks], mirror.f, k2, mirror.grid)
+        s_m = mirror_only_ids(occ, mirror.f, k2)
     h = Hpda(k1=mirror.k1, k2=k2, f=mirror.f, z1=z1, z2=z2, mirror=mirror, blocks=blocks, s_m=s_m)
     object.__setattr__(h, "_occurrence_index", occ)
     return h
@@ -341,7 +341,8 @@ def derive_s_m(
     from .grids import build_index, mirror_only_ids
 
     k2 = blocks[0].k if blocks else 1
-    return mirror_only_ids(build_index([b.grid for b in blocks], mirror.f, k2), mirror, k2)
+    occ = build_index([b.grid for b in blocks], mirror.f, k2, mirror.grid)
+    return mirror_only_ids(occ, mirror.f, k2)
 
 
 def format_hpda(h: Hpda) -> str:

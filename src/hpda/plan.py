@@ -25,7 +25,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, sub, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .grids import _FLIP, star_columns
+from .grids import _FLIP
 from .simulation import DecodingError
 
 if TYPE_CHECKING:
@@ -199,21 +199,18 @@ def compile_plan(h: Hpda) -> DeliveryPlan:
     spans = map(slice, occ.offsets, occ.offsets[1:])
     terms = dict(zip(occ.ids, map(occ.terms.__getitem__, spans)))
     server = _runs(sorted(h.union_integers() - h.s_m), terms, b"\x01" * (h.k1 * k2 * f))
-    cached = star_columns(h.mirror.grid, h.k1)
-    mirrors = tuple(
-        _compile_mirror(h, g, cached[g * f : (g + 1) * f], occ.stars, terms) for g in range(h.k1)
-    )
+    mirrors = tuple(_compile_mirror(h, g, occ.stars, occ.cached, terms) for g in range(h.k1))
     return DeliveryPlan(f=f, server=server, mirrors=mirrors)
 
 
 def _compile_mirror(
-    h: Hpda, g: int, star: bytes, stars: bytes, terms: dict[int, array]
+    h: Hpda, g: int, stars: bytes, cached: bytes, terms: dict[int, array]
 ) -> MirrorPlan:
-    """Plan of mirror g + 1 (0-based g), which caches the rows where ``star``
-    is 1; ``stars`` is the star byte of every term, and masks are indexed by
-    term."""
-    f, k2, users = h.f, h.k2, h.k1 * h.k2
+    """Plan of mirror g + 1 (0-based g); ``stars`` and ``cached`` are the
+    star and mirror bytes of every term, and masks are indexed by term."""
+    f, k2 = h.f, h.k2
     none, every = bytes(k2 * f), b"\x01" * (k2 * f)
+    star = cached[g * k2 * f : g * k2 * f + f]  # the rows mirror g caches
 
     def by_block(own: bytes, other: bytes) -> bytes:
         return b"".join(own if b == g else other for b in range(h.k1))
@@ -223,7 +220,6 @@ def _compile_mirror(
     local = _runs(sorted(ids & h.s_m), terms, by_block(every, none))
     # What is left of each signal of this mirror, which its users cancel.
     kept = _runs(sorted(ids), terms, by_block(every, star.translate(_FLIP) * k2))
-    cached = star * users
     failure = None
     if sum(_gather(cached, local.terms)) != len(local.terms):
         bad = next(t for t in local.terms if not cached[t])

@@ -19,12 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping
 
 from .hierarchy import Hpda
-from .pda import STAR, _write_text
+from .pda import _write_text
 
 if TYPE_CHECKING:
     from .plan import DeliveryPlan
@@ -123,18 +123,18 @@ class CacheState:
 
 
 def place(h: Hpda, lib: FileLibrary) -> CacheState:
-    """Fill caches from the grids: starred rows are cached for every file."""
+    """Fill caches from the array's star and mirror bytes (``h.occurrences``):
+    starred rows are cached for every file."""
     _check_library(h, lib)
-    mirror_rows = {
-        k1: frozenset(j for j in range(1, h.f + 1) if h.mirror.is_star(j, k1))
-        for k1 in range(1, h.k1 + 1)
+    occ, f, rows = h.occurrences, h.f, range(1, h.f + 1)
+
+    def cut(flags: bytes, slot: int) -> frozenset[int]:
+        return frozenset(compress(rows, flags[slot * f : (slot + 1) * f]))
+
+    mirror_rows = {g + 1: cut(occ.cached, g * h.k2) for g in range(h.k1)}
+    user_rows = {
+        (g + 1, c + 1): cut(occ.stars, g * h.k2 + c) for g in range(h.k1) for c in range(h.k2)
     }
-    user_rows = {}
-    for k1, block in enumerate(h.blocks, start=1):
-        for k2 in range(1, h.k2 + 1):
-            user_rows[(k1, k2)] = frozenset(
-                j for j in range(1, h.f + 1) if block.grid[j - 1][k2 - 1] == STAR
-            )
     return CacheState(library=lib, mirror_rows=mirror_rows, user_rows=user_rows)
 
 
