@@ -190,8 +190,8 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
     bottom, columns left to right, ids running S+1, S+2, ...  Requires
     k2 < t < k1*k2.
     """
+    mn_rows = _mn_rows(_grouping_k(k1, k2, t), t)  # no MN Pda; budget before closed forms
     _, z1, z2 = grouping_params(k1, k2, t)
-    mn_rows = _mn_rows(k1 * k2, t)  # no MN Pda: _assemble checks the cells, once
     s = math.comb(k1 * k2, t + 1)
     next_id = s + 1
     cached, grids = [], []
@@ -209,13 +209,19 @@ def build_grouping(k1: int, k2: int, t: int) -> Hpda:
     return _assemble(k2, z1, z2, zip(*cached), grids, frozenset(range(s + 1, next_id)))
 
 
-def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
-    """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t)."""
+def _grouping_k(k1: int, k2: int, t: int) -> int:
+    """K = K1·K2 of a grouping construction, once K1, K2 and t are checked."""
     if k1 < 1 or k2 < 1:
         raise ValueError("K1 and K2 must be positive")
     k = k1 * k2
     if not k2 < t < k:
         raise ValueError(f"t must satisfy {k2} < t < {k}, got {t}")
+    return k
+
+
+def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
+    """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t)."""
+    k = _grouping_k(k1, k2, t)
     f = math.comb(k, t)
     z1 = math.comb(k - k2, t - k2)
     z2 = math.comb(k - 1, t - 1) - z1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Union
@@ -108,15 +109,40 @@ def _mn_params(k: int, t: int) -> tuple[int, int, int, int]:
     return k, math.comb(k, t), math.comb(k - 1, t - 1), math.comb(k, t + 1)
 
 
+def _size(n: int) -> int | str:
+    """``n`` as a refusal names it: exactly below 10^100, else by its magnitude
+    (``str()`` refuses ints of more than 4,300 digits)."""
+    return n if n < 10**100 else f"about 10^{math.log10(n):.0f}"
+
+
+def _mn_magnitude(k: int, t: int) -> int:
+    """log10 of C(k, t)·k, rounded, from Stirling's series.
+
+    With m = min(t, k - t), n = k - m and r = m/n, ln C(k, t) is
+    m·(ln(1+r)/r + ln(k/m)) + (ln(1+r) - ln(2πm))/2 + (1/k - 1/n - 1/m)/12,
+    up to 1/(360·m³).  No factorial is computed, and ``m`` multiplies an exact
+    rational, so no float overflows however large k is.
+    """
+    m, ln = min(t, k - t), Fraction(math.log(k))
+    if m:
+        n, r = k - m, m / (k - m)
+        head = math.log1p(r) / r if r else 1.0  # n·ln(1+r)/m, which tends to 1
+        tail = (math.log1p(r) - math.log(2 * math.pi) - math.log(m)) / 2
+        tail += (1 / k - 1 / n - 1 / m) / 12
+        ln += m * Fraction(head + math.log(k) - math.log(m)) + Fraction(tail)
+    return round(ln / Fraction(math.log(10)))
+
+
 def _mn_rows(k: int, t: int) -> list[tuple[Cell, ...]]:
     """Rows of :func:`mn_pda`: the (t+1)-subset of rank r writes r at
     (subset - {c}, c) for each member c, and every other cell is a star.
     Tuples, so that a block's slices of them are kept as they are, not copied.
     An array of more than ``_MAX_MN_CELLS`` cells is refused before any is made.
     """
-    cells = math.comb(k, t) * k
-    if cells > _MAX_MN_CELLS:  # str() refuses ints of more than 4,300 digits
-        size = cells if cells < 10**100 else f"about 10^{math.log10(cells):.0f}"
+    magnitude = _mn_magnitude(k, t)  # count exactly only far below str()'s 4,300 digits
+    cells = math.comb(k, t) * k if magnitude < 1000 else None
+    if cells is None or cells > _MAX_MN_CELLS:
+        size = f"about 10^{magnitude}" if cells is None else _size(cells)
         raise ValueError(f"MN array for k={k}, t={t} has {size} cells, more than {_MAX_MN_CELLS}")
     rows = {sub: [STAR] * k for sub in combinations(range(1, k + 1), t)}  # in lexicographic order
     for r, sub in enumerate(combinations(range(1, k + 1), t + 1), start=1):
@@ -135,7 +161,8 @@ def mn_pda(k: int, t: int) -> Pda:
     """
     if not 1 <= t <= k:
         raise ValueError(f"t must be in [1, {k}], got {t}")
-    return Pda(*_mn_params(k, t), grid=_mn_rows(k, t))
+    rows = _mn_rows(k, t)  # the budget check comes before any closed form
+    return Pda(*_mn_params(k, t), grid=rows)
 
 
 def verify_pda(p: Pda) -> VerificationReport:

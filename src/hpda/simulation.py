@@ -24,10 +24,15 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping
 
 from .hierarchy import Hpda
-from .pda import _write_text
+from .pda import _size, _write_text
 
 if TYPE_CHECKING:
     from .plan import DeliveryPlan
+
+
+# Bytes of the largest library FileLibrary.random draws: 20 times the 13 MB
+# of a simulate of grouping(4,4,8) with 16 files of 64-byte packets.
+_MAX_LIBRARY_BYTES = 2**28
 
 
 class DecodingError(RuntimeError):
@@ -59,6 +64,12 @@ class FileLibrary:
         """Seeded pseudo-random payloads; identical seeds give identical bytes."""
         if min(n_files, f, packet_bytes) < 1:  # checked before any bytes are drawn
             raise ValueError("library dimensions must be positive")
+        size = n_files * f * packet_bytes
+        if size > _MAX_LIBRARY_BYTES:
+            raise ValueError(
+                f"library of {n_files} files x {f} packets x {packet_bytes} bytes"
+                f" has {_size(size)} bytes, more than {_MAX_LIBRARY_BYTES}"
+            )
         rng = random.Random(seed)
         files: list[tuple[bytes, ...]] = []
         # Drawn four files at a time, which bounds the transient blob.  The

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ import hpda.grids
 from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
 from hpda.cli import main
 from hpda.simulation import DecodingError
+
+from test_pda import refuse_huge_combs
 
 
 def test_construct_pda_golden(capsys):
@@ -421,6 +424,38 @@ def test_mn_grid_over_budget_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err == (
         "error: MN array for k=40, t=20 has 5513861152800 cells, more than 10000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-pda", "mn", "--k", "1000000", "--t", "500000"],
+        ["construct-hpda", "grouping", "--k1", "1000", "--k2", "1000", "--t", "500000"],
+    ],
+    ids=["construct-pda", "construct-hpda"],
+)
+def test_huge_mn_grid_is_refused_at_once(capsys, monkeypatch, argv):
+    refuse_huge_combs(monkeypatch)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: MN array for k=1000000, t=500000 has about 10^301033 cells, more than 10000000\n"
+    )
+
+
+def test_library_over_budget_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.hpda"
+    path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    start = time.perf_counter()
+    assert main(["simulate", str(path), "--files", "100000000"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: library of 100000000 files x 15 packets x 64 bytes has 96000000000 bytes,"
+        " more than 268435456\n"
     )
 
 

@@ -171,6 +171,14 @@ def test_index_lists_every_cell_by_term_in_scan_order():
         assert occ.stars == bytes(
             block.grid[j][c] == STAR for block in h.blocks for c in range(h.k2) for j in range(h.f)
         )
+        assert occ.cached == bytes(
+            h.mirror.is_star(j + 1, g + 1)
+            for g in range(h.k1)
+            for c in range(h.k2)
+            for j in range(h.f)
+        )
+    p = mn_pda(4, 2)
+    assert hpda.grids.build_index((p.grid,), p.f, p.k, ()).cached == b""
 
 
 def test_index_is_built_lazily_and_kept():

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,8 @@ from hpda import (
     verify_hpda,
     verify_pda,
 )
+
+from test_pda import refuse_huge_combs
 
 S = STAR
 
@@ -643,3 +646,16 @@ def test_grouping_refuses_an_mn_grid_over_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_grouping_refuses_a_huge_mn_grid_before_any_closed_form(monkeypatch):
+    refuse_huge_combs(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^MN array for k=1000000, t=500000 has about 10\^301033"):
+        build_grouping(1000, 1000, 5 * 10**5)
+    # The checks of K1, K2 and t still come first.
+    with pytest.raises(ValueError, match="^K1 and K2 must be positive$"):
+        build_grouping(-1000, -1000, 5 * 10**5)
+    with pytest.raises(ValueError, match="^t must satisfy 1000 < t < 1000000, got 1000$"):
+        build_grouping(1000, 1000, 1000)
+    assert time.perf_counter() - start < 1

@@ -2,6 +2,8 @@
 
 import io
 import math
+import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -269,6 +271,42 @@ def test_mn_pda_refuses_a_grid_over_budget_before_allocating():
 def test_mn_budget_names_a_size_too_long_to_print_by_its_magnitude():
     with pytest.raises(ValueError, match=r"^MN array for k=20000, t=10000 has about 10\^6023 cells"):
         mn_pda(20000, 10000)
+
+
+def refuse_huge_combs(monkeypatch):
+    """Make ``math.comb`` fail for k > 10^4, so that a budget test never runs
+    a huge closed form."""
+    comb = math.comb
+
+    def guarded(k, t):
+        assert k <= 10**4, f"math.comb({k}, {t}) ran"
+        return comb(k, t)
+
+    monkeypatch.setattr(math, "comb", guarded)
+
+
+def test_mn_budget_refuses_a_huge_array_from_its_magnitude_alone(monkeypatch):
+    # log10(C(10^6, 5*10^5) * 10^6) = 301032.898 (from math.comb, once, offline).
+    refuse_huge_combs(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError,
+        match=r"^MN array for k=1000000, t=500000 has about 10\^301033 cells, more than 10000000$",
+    ):
+        mn_pda(10**6, 5 * 10**5)
+    with pytest.raises(ValueError, match=r"has about 10\^1200 cells"):
+        mn_pda(10**400, 2)  # the 1,200-digit count is never formed
+    with pytest.raises(ValueError, match=r"has about 10\^14118\d{395} cells"):
+        mn_pda(10**400, 10**399)  # no float holds m = 10^399
+    assert time.perf_counter() - start < 1
+
+
+def test_mn_magnitude_rounds_like_the_exact_count():
+    rng = random.Random(14)
+    cases = [(k, t) for k in range(1, 41) for t in range(1, k + 1)]
+    cases += [(k, rng.randint(1, k)) for k in (rng.randint(41, 5000) for _ in range(200))]
+    for k, t in cases:
+        assert hpda.pda._mn_magnitude(k, t) == round(math.log10(math.comb(k, t) * k)), (k, t)
 
 
 def test_mn_budget_is_inclusive(monkeypatch):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -18,6 +19,9 @@ from hpda import (
     DecodingError,
     DemandVector,
     FileLibrary,
+    Hpda,
+    MirrorPlacement,
+    Pda,
     build_grouping,
     build_hybrid,
     decode_user,
@@ -30,7 +34,7 @@ from hpda import (
     worst_case_demand,
 )
 
-from test_acceptance import _mutate_hpda
+from test_acceptance import _mutate_hpda, grouping_arrays
 from test_hpda import golden_15x9
 
 
@@ -403,6 +407,42 @@ def test_library_random_is_seeded():
     assert a.file(2) == b"".join(a.packets[1])
 
 
+def reference_place(h):
+    """(mirror rows, user rows) of every receiver, cell by cell from the grids."""
+    rows = range(1, h.f + 1)
+    mirror_rows = {
+        k1: frozenset(j for j in rows if h.mirror.is_star(j, k1)) for k1 in range(1, h.k1 + 1)
+    }
+    user_rows = {}
+    for k1, block in enumerate(h.blocks, start=1):
+        for k2 in range(1, h.k2 + 1):
+            user_rows[(k1, k2)] = frozenset(j for j in rows if block.grid[j - 1][k2 - 1] == STAR)
+    return mirror_rows, user_rows
+
+
+def test_place_matches_the_per_cell_reference():
+    arrays = [h for _, h in grouping_arrays()]
+    arrays += [
+        build_hybrid(mn_pda(k1, t1), mn_pda(k2, t2))
+        for k1 in range(1, 5)
+        for t1 in range(1, k1 + 1)
+        for k2 in range(1, 5)
+        for t2 in range(1, k2 + 1)
+    ]
+    # Built by hand and never verified: B1-B4 and C1-C3 all fail.
+    mirror = MirrorPlacement(grid=((STAR, None), (None, None), (STAR, STAR)))
+    blocks = (
+        Pda(k=2, f=3, z=2, s=9, grid=((1, STAR), (STAR, STAR), (2, 2))),
+        Pda(k=2, f=3, z=0, s=1, grid=((STAR, 1), (3, STAR), (STAR, STAR))),
+    )
+    arrays.append(Hpda(k1=2, k2=2, f=3, z1=1, z2=1, mirror=mirror, blocks=blocks, s_m={1, 7}))
+    assert len(arrays) == 66 + 100 + 1
+    for h in arrays:
+        cache = place(h, zero_library(1, h.f, 1))
+        assert (cache.mirror_rows, cache.user_rows) == reference_place(h)
+        assert list(cache.user_rows) == list(reference_place(h)[1])
+
+
 def test_library_validation():
     with pytest.raises(ValueError):
         FileLibrary(n_files=1, f=2, packet_bytes=2, packets=((b"ab",),))
@@ -421,6 +461,30 @@ def test_library_random_checks_dimensions_before_drawing():
         for dims in [(bad, 15, 8), (6, bad, 8), (6, 15, bad)]:
             with pytest.raises(ValueError, match="^library dimensions must be positive$"):
                 FileLibrary.random(*dims, seed=0)
+
+
+def test_library_random_refuses_a_library_over_budget_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match="^library of 100000000 files x 12870 packets x 64 bytes has 82368000000000 bytes,"
+            " more than 268435456$",
+        ):
+            FileLibrary.random(10**8, 12870, 64, seed=0)
+        with pytest.raises(ValueError, match=r"has about 10\^406 bytes, more than 268435456$"):
+            FileLibrary.random(10**400, 10**3, 10**3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_library_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(hpda.simulation, "_MAX_LIBRARY_BYTES", 64)
+    assert len(FileLibrary.random(2, 4, 8, seed=0).file(2)) == 32  # exactly the budget
+    with pytest.raises(ValueError, match="^library of 3 files x 4 packets x 8 bytes has 96 bytes"):
+        FileLibrary.random(3, 4, 8, seed=0)
 
 
 def test_library_random_is_one_draw_of_the_whole_library():

@@ -97,3 +97,15 @@ def test_only_main_maps_exceptions_to_exit_codes():
         if isinstance(node, ast.Try)
     ]
     assert guarded == [["build_hybrid"]]
+
+
+def test_only_the_array_modules_read_the_star_marker():
+    # The plan and the simulation read placement bytes from the occurrence
+    # index, never cells.
+    readers = {
+        module
+        for module, tree in TREES.items()
+        if "STAR" in _reads(tree) | {name for _, _, name in _imports(tree)}
+    }
+    assert readers <= {"__init__.py", "pda.py", "hierarchy.py", "grids.py"}
+    assert {"plan.py", "simulation.py"} <= set(TREES)
