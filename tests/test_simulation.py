@@ -438,9 +438,9 @@ def test_place_matches_the_per_cell_reference():
     arrays.append(Hpda(k1=2, k2=2, f=3, z1=1, z2=1, mirror=mirror, blocks=blocks, s_m={1, 7}))
     assert len(arrays) == 66 + 100 + 1
     for h in arrays:
-        cache = place(h, zero_library(1, h.f, 1))
-        assert (cache.mirror_rows, cache.user_rows) == reference_place(h)
-        assert list(cache.user_rows) == list(reference_place(h)[1])
+        cache, ref = place(h, zero_library(1, h.f, 1)), reference_place(h)
+        assert (cache.mirror_rows, cache.user_rows) == ref
+        assert list(cache.user_rows) == list(ref[1])  # in (mirror, user) order
 
 
 def test_library_validation():
