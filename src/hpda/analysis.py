@@ -181,13 +181,20 @@ _MAX_GRID_AXIS = 10_001
 def search_min_r1(
     formula: str, p: SystemParams, grid_step: Rational = Fraction(1, 100)
 ) -> tuple[SplitPoint, Fraction, Fraction]:
-    """Exhaustive grid search over alpha, beta in {0, step, ..., 1}.
+    """Grid search over alpha, beta in {0, step, ..., 1}.
 
-    Returns the point minimizing R1; ties break by smaller R2, then by
+    Returns the grid point minimizing R1; ties break by smaller R2, then by
     lexicographic (alpha, beta).  With q the step's denominator, every grid
     value is an integer over q, so R1 is scanned as an exact unreduced integer
     pair (scaled by q) compared by cross-multiplication; R2 is computed only
     where R1 ties or beats the best so far.
+
+    At each alpha, R1 and R2 are piecewise linear in beta, so only the beta
+    ticks bracketing a breakpoint, and both ends, are evaluated: on each
+    linear piece the least (R1, R2, beta) lies at its first or last tick.
+    Visited in the same order, they give the exhaustive scan's argmin and
+    tie-breaks.  Where those ticks could number as many as the axis (dense
+    systems, coarse steps), every tick is evaluated.
     """
     if formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {sorted(_FORMULAS)}, got {formula!r}")
@@ -199,8 +206,8 @@ def search_min_r1(
         raise ValueError(
             f"grid step {step} gives {axis} points per axis, more than {_MAX_GRID_AXIS}"
         )
-    q = step.denominator
-    ticks = [i * step.numerator for i in range(axis - 1)] + [q]
+    q, sn, last = step.denominator, step.numerator, axis - 1
+    ticks = [i * sn for i in range(last)] + [q]
     k1, k2, n, kk = p.k1, p.k2, p.n_files, p.k1 * p.k2
     m1n, m1d = p.m1.numerator, p.m1.denominator
     m2n, m2d = p.m2.numerator, p.m2.denominator
@@ -211,7 +218,17 @@ def search_min_r1(
         # q*R1 = a*head*mid + (q-a)*tail.  head = r_c(M1/(aN), K1) depends on alpha
         # only; mid is K2 for KNMD and r_c(b*M2/(aN), K2) for WWCY.
         hn, hd = _rc_terms(m1n * q, m1d * a * n, k1) if a else (0, 1)
-        for b in ticks:
+        # The ticks on either side of each breakpoint of R1 and R2 in b, at tick
+        # index x/den: b*M2/(aN) = j/K2 and (q-b)*M2/((q-a)N) = j/(K1K2).  With
+        # M2 = 0 there is none, and both ends remain.
+        columns: Iterable[int] = range(axis)
+        if 2 * (k2 + kk + 2) < axis:
+            den = kk * m2n * sn
+            xs = [j * a * n * m2d * k1 for j in range(k2 + 1)]
+            xs += [q * kk * m2n - j * (q - a) * n * m2d for j in range(kk + 1)]
+            cuts = (min(max(i, 0), last) for x in xs for i in (x // den, -(-x // den)))
+            columns = sorted({0, last, *(cuts if m2n else ())})
+        for b in map(ticks.__getitem__, columns):
             mn, md = _rc_terms(b * m2n, m2d * a * n, k2) if wwcy and a else (k2, 1)
             tn, td = _rc_terms((q - b) * m2n, m2d * (q - a) * n, kk) if a < q else (0, 1)
             num = a * hn * mn * td + (q - a) * tn * hd * md

@@ -6,6 +6,7 @@ from math import comb, floor
 
 import pytest
 
+import hpda.analysis
 from hpda import (
     SplitPoint,
     SystemParams,
@@ -226,6 +227,87 @@ def test_search_matches_naive_fraction_loop():
                 got = (point.alpha, point.beta, r1, r2)
                 assert got == _naive_search(fn, p, step), (formula, p, step)
                 assert all(type(v) is Fraction for v in got)
+
+
+def _bracketing_systems():
+    """Systems beyond ``_search_systems``: K1·K2 up to 20, each also with
+    M2 = 0 (no breakpoint in beta) and M2 = N."""
+    rng = random.Random(15)
+    for _ in range(6):
+        k1 = rng.randint(1, 5)
+        k2, n, lattice = rng.randint(1, 20 // k1), rng.randint(1, 12), rng.randint(1, 7)
+        m1 = Fraction(rng.randint(0, n * lattice), lattice)
+        for m2 in (Fraction(rng.randint(0, n * lattice), lattice), 0, n):
+            yield SystemParams(k1, k2, n, m1, m2)
+    yield SystemParams(4, 5, 7, Fraction(10, 3), Fraction(9, 4))
+
+
+def test_search_over_bracketing_ticks_matches_naive_fraction_loop():
+    # Steps with numerators above 1, so the last tick is off the step.  The
+    # last one, 2/(2c + 1), is the coarsest with more ticks per axis (c + 2)
+    # than the c = 2(K2 + K1K2 + 2) bracketing ticks, so the search visits
+    # only the ticks next to a breakpoint.
+    for p in _bracketing_systems():
+        c = 2 * (p.k2 + p.k1 * p.k2 + 2)
+        for step in (Fraction(2, 7), Fraction(3, 10), Fraction(7, 100), Fraction(2, 2 * c + 1)):
+            for formula, fn in (("knmd", knmd_loads), ("wwcy", wwcy_loads)):
+                point, r1, r2 = search_min_r1(formula, p, step)
+                got = (point.alpha, point.beta, r1, r2)
+                assert got == _naive_search(fn, p, step), (formula, p, step)
+
+
+def _visited(monkeypatch, formula, p, step):
+    """The search's result and the (a, b) tick numerators at which it evaluated
+    R1's tail, i.e. every visited point with alpha < 1.  A tail is the only
+    ``_rc_terms`` call for K1·K2 users when K1 and K2 exceed 1 and M2 > 0."""
+    q, visited = step.denominator, []
+    rc_terms = hpda.analysis._rc_terms
+
+    def recording(num, den, k):
+        if k == p.k1 * p.k2:  # ((q - b)*M2, (q - a)*N) over M2's denominator
+            visited.append((q - den // (p.m2.denominator * p.n_files), q - num // p.m2.numerator))
+        return rc_terms(num, den, k)
+
+    monkeypatch.setattr(hpda.analysis, "_rc_terms", recording)
+    result = search_min_r1(formula, p, step)
+    monkeypatch.undo()
+    return result, visited
+
+
+def test_search_evaluates_only_ticks_next_to_a_breakpoint(monkeypatch):
+    # The example at 1/100: at most a third of the 101 x 101 inner points,
+    # with the exhaustive scan's argmin.
+    for formula, fn in (("knmd", knmd_loads), ("wwcy", wwcy_loads)):
+        (point, r1, r2), visited = _visited(monkeypatch, formula, EXAMPLE_PARAMS, Fraction(1, 100))
+        assert len(visited) <= 101 * 101 // 3
+        assert (point.alpha, point.beta, r1, r2) == _naive_search(fn, EXAMPLE_PARAMS, Fraction(1, 100))
+    # K1 = K2 = 30 has more breakpoints than ticks: every tick, as many as the
+    # full scan's 100 x 101 (alpha = 1 has no tail), and no more.
+    dense = SystemParams(30, 30, 6, Fraction(12, 5), Fraction(8, 5))
+    for formula in ("knmd", "wwcy"):
+        _, visited = _visited(monkeypatch, formula, dense, Fraction(1, 100))
+        assert len(visited) == 100 * 101
+
+
+def test_search_visits_each_rows_least_point(monkeypatch):
+    # The argument, row by row: at each alpha < 1, the visited betas include
+    # that row's least (R1, R2, beta).  These WWCY systems have rows whose
+    # least point sits only next to a breakpoint of the middle term (mid
+    # cuts, including its clamp at j = K2) or just above a breakpoint.
+    step = Fraction(1, 40)
+    ticks = [Fraction(i, 40) for i in range(41)]
+    cases = [
+        ("wwcy", SystemParams(3, 2, 6, Fraction(1, 2), 5)),
+        ("wwcy", SystemParams(2, 3, 4, 0, Fraction(10, 3))),
+        ("wwcy", EXAMPLE_PARAMS),
+        ("knmd", EXAMPLE_PARAMS),
+    ]
+    for formula, p in cases:
+        fn = knmd_loads if formula == "knmd" else wwcy_loads
+        _, visited = _visited(monkeypatch, formula, p, step)
+        for a in ticks[:-1]:
+            least = min((*fn(p, SplitPoint(a, b)), b) for b in ticks)
+            assert (a * 40, least[2] * 40) in visited, (formula, p, a)
 
 
 def test_search_tie_breaks():
