@@ -21,6 +21,7 @@ from .analysis import (
 )
 from .hierarchy import (
     Hpda,
+    _hybrid_budget,
     build_grouping,
     build_hybrid,
     load_hpda,
@@ -65,6 +66,7 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
     else:
         outer = load_pda(args.a)
         inner = load_pda(args.b)
+        _hybrid_budget(outer, inner)  # a refused size exits 2, before the try's exit 3
         try:  # here a ValueError means an input fails verification
             h = build_hybrid(outer, inner)
         except ValueError as exc:

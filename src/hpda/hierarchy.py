@@ -22,9 +22,11 @@ from .pda import (
     PdaFormatError,
     VerificationReport,
     _distinct_ids,
+    _MAX_MN_CELLS,
     _mn_rows,
     _parse_header,
     _read_text,
+    _size,
     _write_text,
     verify_pda,
 )
@@ -103,15 +105,11 @@ class Hpda:
     def __post_init__(self) -> None:
         if self.k1 < 1 or self.k2 < 1 or self.f < 1:
             raise ValueError("K1, K2 and F must be positive")
-        if len(self.blocks) != self.k1:
-            raise ValueError(f"expected {self.k1} blocks, got {len(self.blocks)}")
         if self.mirror.f != self.f or self.mirror.k1 != self.k1:
             raise ValueError(
                 f"mirror grid is {self.mirror.f}x{self.mirror.k1}, expected {self.f}x{self.k1}"
             )
-        for i, block in enumerate(self.blocks, start=1):
-            if block.f != self.f or block.k != self.k2:
-                raise ValueError(f"block {i} is {block.f}x{block.k}, expected {self.f}x{self.k2}")
+        _check_blocks(self.mirror, self.blocks, self.k2)
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "s_m", frozenset(self.s_m))
         object.__setattr__(self, "s_k", tuple(block.integer_set() for block in self.blocks))
@@ -136,6 +134,15 @@ class Hpda:
             occ = build_index([b.grid for b in self.blocks], self.f, self.k2, self.mirror.grid)
             object.__setattr__(self, "_occurrence_index", occ)
         return self._occurrence_index
+
+
+def _check_blocks(mirror: MirrorPlacement, blocks: tuple[Pda, ...], k2: int) -> None:
+    """One F x K2 block per mirror column, F being the mirror grid's height."""
+    if len(blocks) != mirror.k1:
+        raise ValueError(f"expected {mirror.k1} blocks, got {len(blocks)}")
+    for i, block in enumerate(blocks, start=1):
+        if block.f != mirror.f or block.k != k2:
+            raise ValueError(f"block {i} is {block.f}x{block.k}, expected {mirror.f}x{k2}")
 
 
 def _assemble(
@@ -252,6 +259,17 @@ def _slots(outer: Pda) -> list[list[int]]:
     return slots
 
 
+def _hybrid_budget(outer: Pda, inner: Pda) -> None:
+    """Refuse a hybrid array of more than ``_MAX_MN_CELLS`` cells, from the
+    two inputs' shapes alone: F1·F2 rows of K1 mirror and K1·K2 block cells."""
+    cells = outer.f * inner.f * outer.k * (1 + inner.k)
+    if cells > _MAX_MN_CELLS:
+        raise ValueError(
+            f"hybrid of a {outer.f}x{outer.k} outer and a {inner.f}x{inner.k} inner array"
+            f" has {_size(cells)} cells, more than {_MAX_MN_CELLS}"
+        )
+
+
 def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
     """Compose an outer array (mirror layer) with an inner array (user layer).
 
@@ -259,9 +277,11 @@ def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
     times.  Block k1 stacks F1 shifted copies of the inner array, one per
     outer cell in column k1: copies replacing equal outer integers share ids
     (the server multicasts them), copies replacing outer stars get fresh id
-    ranges (their packets sit in mirror k1's cache).  Both inputs are verified
-    (the error lists every violation), then need alphabets [1..S] without gaps.
+    ranges (their packets sit in mirror k1's cache).  An output over the cell
+    budget is refused first.  Both inputs are verified (the error lists every
+    violation), then need alphabets [1..S] without gaps.
     """
+    _hybrid_budget(outer, inner)
     for name, p in (("outer", outer), ("inner", inner)):
         lines = [f"  {v}" for v in verify_pda(p).violations]
         if lines:
@@ -347,6 +367,7 @@ def derive_s_m(
     from .grids import build_index, mirror_only_ids
 
     k2 = blocks[0].k if blocks else 1
+    _check_blocks(mirror, blocks, k2)
     occ = build_index([b.grid for b in blocks], mirror.f, k2, mirror.grid)
     return mirror_only_ids(occ, mirror.f, k2)
 

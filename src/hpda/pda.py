@@ -100,7 +100,8 @@ def _distinct_ids(rows) -> frozenset[int]:
 
 
 # Cells of the largest MN array :func:`_mn_rows` builds, about 80 MB of tuple
-# slots; grouping(4,4,8) has 205,920.
+# slots, and of the largest hybrid ``hierarchy.build_hybrid`` builds;
+# grouping(4,4,8) has 205,920.
 _MAX_MN_CELLS = 10**7
 
 

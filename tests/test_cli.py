@@ -7,6 +7,7 @@ import pytest
 
 import hpda.cli
 import hpda.grids
+import hpda.hierarchy
 from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
 from hpda.cli import main
 from hpda.simulation import DecodingError
@@ -103,6 +104,32 @@ def test_construct_hpda_hybrid_invalid_inner_stderr(tmp_path, capsys, outer):
         "  C3a at (1, 2, 1, 3): integer 1 repeats in the same row\n"
         "  C3b at (1, 3, 2, 1): occurrences of 1 lack the star-complement 2x2 pattern\n"
     )
+
+
+def test_construct_hpda_hybrid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.pda"
+    save_pda(mn_pda(14, 7), a)  # 3432 x 14; the hybrid would have 2.5e9 cells
+    monkeypatch.setattr(hpda.cli, "build_hybrid", None)  # never reached
+    assert main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(a)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: hybrid of a 3432x14 outer and a 3432x14 inner array"
+        " has 2473511040 cells, more than 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("budget, code", [(48, 3), (47, 2)])
+def test_construct_hpda_hybrid_budget_comes_before_verification(
+    tmp_path, monkeypatch, budget, code
+):
+    # An invalid outer of mn(2,1)'s shape: within the budget it fails
+    # verification (exit 3), above it the size is refused first (exit 2).
+    a, b = tmp_path / "a.pda", tmp_path / "b.pda"
+    a.write_text("PDA 2 2 1 1\n* 1\n* 1\n")
+    save_pda(mn_pda(3, 1), b)
+    monkeypatch.setattr(hpda.hierarchy, "_MAX_MN_CELLS", budget)
+    assert main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(b)]) == code
 
 
 def test_construct_hpda_hybrid_missing_file(tmp_path):

@@ -395,6 +395,44 @@ def test_derive_s_m_skips_rows_without_mirror_star():
     assert derive_s_m(mirror, (block2,)) == frozenset({1})
 
 
+def test_derive_s_m_rejects_blocks_that_do_not_fit_the_mirror_grid():
+    mirror = MirrorPlacement(grid=((S,), (None,)))  # F = 2, one mirror
+    # Two blocks for one mirror: every id in both blocks, or one only in the first.
+    for blocks in ((mn_pda(2, 1),) * 2, (mn_pda(2, 1), pda_shift(mn_pda(2, 1), 1))):
+        with pytest.raises(ValueError, match="^expected 1 blocks, got 2$"):
+            derive_s_m(mirror, blocks)
+    with pytest.raises(ValueError, match="^block 1 is 3x3, expected 2x3$"):
+        derive_s_m(mirror, (mn_pda(3, 1),))
+
+
+def test_hybrid_budget_refuses_before_verifying_or_allocating(monkeypatch):
+    outer = inner = mn_pda(14, 7)  # 3432 x 14: 48,048 cells each
+    # Verification comes before any row is built: failing it keeps a missing
+    # budget from building 2.5e9 cells.
+    monkeypatch.setattr(hpda.hierarchy, "verify_pda", None)
+    message = (
+        f"^hybrid of a 3432x14 outer and a 3432x14 inner array has {3432 * 3432 * 14 * 15}"
+        " cells, more than 10000000$"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            build_hybrid(outer, inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_hybrid_budget_is_inclusive(monkeypatch):
+    # mn(2,1) x mn(3,1): F = 6 rows of K1 = 2 mirror and K1·K2 = 6 block cells.
+    monkeypatch.setattr(hpda.hierarchy, "_MAX_MN_CELLS", 48)
+    assert verify_hpda(build_hybrid(mn_pda(2, 1), mn_pda(3, 1))).valid
+    monkeypatch.setattr(hpda.hierarchy, "_MAX_MN_CELLS", 47)
+    with pytest.raises(ValueError, match="has 48 cells, more than 47$"):
+        build_hybrid(mn_pda(2, 1), mn_pda(3, 1))
+
+
 def test_parse_hpda_rejects_malformed():
     good = format_hpda(golden_6x8())
     with pytest.raises(PdaFormatError):
