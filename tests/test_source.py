@@ -109,3 +109,28 @@ def test_only_the_array_modules_read_the_star_marker():
     }
     assert readers <= {"__init__.py", "pda.py", "hierarchy.py", "grids.py"}
     assert {"plan.py", "simulation.py"} <= set(TREES)
+
+
+def test_analysis_makes_no_float():
+    # No float may enter a reported number: no float literal, no float() call
+    # and no float-valued math function.  The name ``float`` is read only by
+    # the ``Rational`` alias and ``_fraction``, which converts a caller's
+    # float input exactly through its repr.
+    exact_math = {"ceil", "comb", "floor", "gcd", "isqrt", "lcm", "prod"}
+    found = []
+    for top in TREES["analysis.py"].body:
+        caller_input = (isinstance(top, ast.FunctionDef) and top.name == "_fraction") or (
+            isinstance(top, ast.Assign) and ast.unparse(top.targets[0]) == "Rational"
+        )
+        for node in ast.walk(top):
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                or (isinstance(node, ast.Name) and node.id == "float" and not caller_input)
+                or (
+                    isinstance(node, ast.Attribute)
+                    and ast.unparse(node.value) == "math"
+                    and node.attr not in exact_math
+                )
+            ):
+                found.append(f"analysis.py:{node.lineno} {ast.unparse(node)}")
+    assert found == []
