@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 semantic failure (invalid array or failed decode),
 2 usage or parse error, 3 input artifact fails verification.  Handlers raise;
-:func:`main` alone turns an exception into code 1 or 2.
+:func:`main` alone turns an exception into code 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .analysis import (
 )
 from .hierarchy import (
     Hpda,
-    _hybrid_budget,
     build_grouping,
     build_hybrid,
     load_hpda,
@@ -31,6 +30,7 @@ from .hierarchy import (
     verify_hpda,
 )
 from .pda import (
+    InvalidArrayError,
     PdaFormatError,
     _read_text,
     load_pda,
@@ -39,7 +39,7 @@ from .pda import (
     save_pda,
     verify_pda,
 )
-from .simulation import DecodingError, DemandVector, simulate, worst_case_demand
+from .simulation import DecodingError, DemandVector, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -64,14 +64,7 @@ def _cmd_construct_hpda(args: argparse.Namespace) -> int:
     if args.kind == "grouping":
         h = build_grouping(args.k1, args.k2, args.t)
     else:
-        outer = load_pda(args.a)
-        inner = load_pda(args.b)
-        _hybrid_budget(outer, inner)  # a refused size exits 2, before the try's exit 3
-        try:  # here a ValueError means an input fails verification
-            h = build_hybrid(outer, inner)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_ARTIFACT
+        h = build_hybrid(load_pda(args.a), load_pda(args.b))
     summary = _summary_line(h)
     save_hpda(h, args.out or sys.stdout)
     print(summary, file=sys.stdout if args.out else sys.stderr)
@@ -102,10 +95,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     h = load_hpda(args.path)
+    d = None  # simulate's default: every user requests a distinct file
     if args.demand:
         d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(map(int, args.demand.split(","))))
-    else:
-        d = worst_case_demand(h.k1, h.k2, args.files)
     result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     t = result.transcript
     flag = "success" if result.success else "failure"
@@ -231,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except DecodingError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InvalidArrayError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARTIFACT
     # A file that cannot be read or written, bad input (PdaFormatError is a
     # ValueError), or a zero grid step: Fraction("1/0") raises ZeroDivisionError.
     except (OSError, ValueError, ZeroDivisionError) as exc:

@@ -18,11 +18,13 @@ from typing import IO, TYPE_CHECKING, Iterable, Union
 
 from .pda import (
     STAR,
+    InvalidArrayError,
     Pda,
     PdaFormatError,
     VerificationReport,
     _distinct_ids,
     _MAX_MN_CELLS,
+    _mn_magnitude,
     _mn_rows,
     _parse_header,
     _read_text,
@@ -227,8 +229,12 @@ def _grouping_k(k1: int, k2: int, t: int) -> int:
 
 
 def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
-    """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t)."""
+    """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t);
+    an F = C(K, t) of more than 1,000 digits is refused before any is computed."""
     k = _grouping_k(k1, k2, t)
+    magnitude = _mn_magnitude(k, t) - round(math.log10(k)) if k >= 3322 else 0  # log10 F
+    if magnitude >= 1000:  # never below K = 3,322: F < 2^K < 10^1000
+        raise ValueError(f"F = C({k}, {t}) is about 10^{magnitude}, more than 1000 digits")
     f = math.comb(k, t)
     z1 = math.comb(k - k2, t - k2)
     z2 = math.comb(k - 1, t - 1) - z1
@@ -259,17 +265,6 @@ def _slots(outer: Pda) -> list[list[int]]:
     return slots
 
 
-def _hybrid_budget(outer: Pda, inner: Pda) -> None:
-    """Refuse a hybrid array of more than ``_MAX_MN_CELLS`` cells, from the
-    two inputs' shapes alone: F1·F2 rows of K1 mirror and K1·K2 block cells."""
-    cells = outer.f * inner.f * outer.k * (1 + inner.k)
-    if cells > _MAX_MN_CELLS:
-        raise ValueError(
-            f"hybrid of a {outer.f}x{outer.k} outer and a {inner.f}x{inner.k} inner array"
-            f" has {_size(cells)} cells, more than {_MAX_MN_CELLS}"
-        )
-
-
 def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
     """Compose an outer array (mirror layer) with an inner array (user layer).
 
@@ -278,17 +273,22 @@ def build_hybrid(outer: Pda, inner: Pda) -> Hpda:
     outer cell in column k1: copies replacing equal outer integers share ids
     (the server multicasts them), copies replacing outer stars get fresh id
     ranges (their packets sit in mirror k1's cache).  An output over the cell
-    budget is refused first.  Both inputs are verified (the error lists every
-    violation), then need alphabets [1..S] without gaps.
+    budget is refused first.  An input that fails verification (the error lists
+    every violation) or lacks the alphabet [1..S] is an :class:`InvalidArrayError`.
     """
-    _hybrid_budget(outer, inner)
+    cells = outer.f * inner.f * outer.k * (1 + inner.k)
+    if cells > _MAX_MN_CELLS:
+        raise ValueError(
+            f"hybrid of a {outer.f}x{outer.k} outer and a {inner.f}x{inner.k} inner array"
+            f" has {_size(cells)} cells, more than {_MAX_MN_CELLS}"
+        )
     for name, p in (("outer", outer), ("inner", inner)):
         lines = [f"  {v}" for v in verify_pda(p).violations]
         if lines:
-            raise ValueError("\n".join([f"{name} array fails verification:", *lines]))
+            raise InvalidArrayError("\n".join([f"{name} array fails verification:", *lines]))
     for name, p in (("outer", outer), ("inner", inner)):
         if p.integer_set() != frozenset(range(1, p.s + 1)):
-            raise ValueError(f"{name} array must use the integer alphabet [1..{p.s}]")
+            raise InvalidArrayError(f"{name} array must use the integer alphabet [1..{p.s}]")
 
     f1, z1, s1 = outer.f, outer.z, outer.s
     f2, z2, s2 = inner.f, inner.z, inner.s

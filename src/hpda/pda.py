@@ -34,6 +34,10 @@ class PdaFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+class InvalidArrayError(ValueError):
+    """An input array that fails verification or lacks the alphabet [1..S]."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed condition with 1-based witness coordinates."""
@@ -81,8 +85,8 @@ class Pda:
         for j, row in enumerate(grid, start=1):
             if len(row) != self.k:
                 raise ValueError(f"row {j} has {len(row)} entries, declared K={self.k}")
-            for cell in row:
-                if cell != STAR and not (isinstance(cell, int) and cell >= 1):
+            for cell in row:  # not isinstance: a bool is an int that parse_pda cannot read back
+                if cell != STAR and not (type(cell) is int and cell >= 1):
                     raise ValueError(f"row {j} holds invalid cell {cell!r}")
         object.__setattr__(self, "grid", grid)
 

@@ -10,6 +10,7 @@ import hpda.grids
 import hpda.hierarchy
 from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
 from hpda.cli import main
+from hpda.pda import InvalidArrayError
 from hpda.simulation import DecodingError
 
 from test_pda import refuse_huge_combs
@@ -109,7 +110,7 @@ def test_construct_hpda_hybrid_invalid_inner_stderr(tmp_path, capsys, outer):
 def test_construct_hpda_hybrid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.pda"
     save_pda(mn_pda(14, 7), a)  # 3432 x 14; the hybrid would have 2.5e9 cells
-    monkeypatch.setattr(hpda.cli, "build_hybrid", None)  # never reached
+    monkeypatch.setattr(hpda.hierarchy, "verify_pda", None)  # refused before verifying
     assert main(["construct-hpda", "hybrid", "--a", str(a), "--b", str(a)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -402,14 +403,15 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
         (["verify", "{hpda}"], "verify_hpda", ValueError, 2, "error: boom\n"),
         (["simulate", "{hpda}", "--files", "6"], "simulate", ZeroDivisionError, 2, "error: boom\n"),
         (["simulate", "{hpda}", "--files", "6"], "simulate", DecodingError, 1, "failure: boom\n"),
+        (["verify", "{hpda}"], "verify_hpda", InvalidArrayError, 3, "error: boom\n"),
     ],
-    ids=["value-error", "zero-division", "decoding-error"],
+    ids=["value-error", "zero-division", "decoding-error", "invalid-array-error"],
 )
 def test_main_alone_maps_exceptions_to_exit_codes(
     tmp_path, capsys, monkeypatch, argv, name, error, code, stderr
 ):
-    # The handlers catch nothing but build_hybrid's ValueError; whatever a
-    # library call raises inside them reaches main, which prints one line.
+    # The handlers catch nothing; whatever a library call raises inside them
+    # reaches main, which prints one line.
     hpda_path = tmp_path / "g.hpda"
     hpda_path.write_text(format_hpda(build_grouping(3, 2, 4)))
 
@@ -469,6 +471,24 @@ def test_huge_mn_grid_is_refused_at_once(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
         "error: MN array for k=1000000, t=500000 has about 10^301033 cells, more than 10000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "k, t, magnitude", [(300, 45000, 27090), (1000, 500000, 301027)], ids=["300x300", "1000x1000"]
+)
+def test_compare_refuses_a_huge_f_at_once(capsys, monkeypatch, k, t, magnitude):
+    # log10 C(90000, 45000) = 27090.12 and log10 C(10^6, 5*10^5) = 301026.9,
+    # above str()'s 4,300-digit limit: the refusal comes before any closed form.
+    refuse_huge_combs(monkeypatch)
+    start = time.perf_counter()
+    argv = ["compare", "--k1", str(k), "--k2", str(k), "--n", "6", "--t", str(t)]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: F = C({k * k}, {t}) is about 10^{magnitude}, more than 1000 digits\n"
     )
 
 

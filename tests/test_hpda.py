@@ -15,6 +15,7 @@ import hpda.pda
 from hpda import (
     STAR,
     Hpda,
+    InvalidArrayError,
     MirrorPlacement,
     Pda,
     PdaFormatError,
@@ -269,10 +270,17 @@ def test_hybrid_inner_without_integers_gives_zero_loads():
 
 def test_hybrid_rejects_invalid_inputs():
     bad = Pda(k=2, f=2, z=1, s=1, grid=((S, 1), (S, 1)))
-    with pytest.raises(ValueError):
+    message = (
+        "outer array fails verification:\n"
+        "  C1 at (1,): column 1 has 2 stars, expected 1\n"
+        "  C1 at (2,): column 2 has 0 stars, expected 1\n"
+        "  C3a at (1, 2, 2, 2): integer 1 repeats in the same column"
+    )
+    with pytest.raises(InvalidArrayError) as exc:
         build_hybrid(bad, mn_pda(2, 1))
+    assert str(exc.value) == message
     shifted = pda_shift(mn_pda(3, 1), 5)  # valid array, alphabet [6..8]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArrayError, match=r"^outer array must use the integer alphabet \[1\.\.3\]$"):
         build_hybrid(shifted, mn_pda(2, 1))
 
 
@@ -429,8 +437,9 @@ def test_hybrid_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(hpda.hierarchy, "_MAX_MN_CELLS", 48)
     assert verify_hpda(build_hybrid(mn_pda(2, 1), mn_pda(3, 1))).valid
     monkeypatch.setattr(hpda.hierarchy, "_MAX_MN_CELLS", 47)
-    with pytest.raises(ValueError, match="has 48 cells, more than 47$"):
+    with pytest.raises(ValueError, match="has 48 cells, more than 47$") as exc:
         build_hybrid(mn_pda(2, 1), mn_pda(3, 1))
+    assert not isinstance(exc.value, InvalidArrayError)  # a size refusal exits 2, not 3
 
 
 def test_parse_hpda_rejects_malformed():

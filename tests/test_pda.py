@@ -248,6 +248,9 @@ def test_pda_constructor_validates_shape():
         Pda(k=2, f=2, z=1, s=-1, grid=((STAR, 1), (1, STAR)))
     with pytest.raises(ValueError, match="^grid has 1 rows, declared F=2$"):
         Pda(k=2, f=2, z=1, s=1, grid=((STAR, 1),))
+    # A bool is an int, but format_pda would write it as a token parse_pda rejects.
+    with pytest.raises(ValueError, match="^row 1 holds invalid cell True$"):
+        Pda(k=1, f=1, z=0, s=1, grid=((True,),))
 
 
 def test_parse_ignores_trailing_blank_lines():

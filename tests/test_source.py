@@ -77,8 +77,7 @@ def test_every_private_module_level_name_is_referenced():
 
 
 def test_only_main_maps_exceptions_to_exit_codes():
-    # A handler may catch only around build_hybrid, where a ValueError means
-    # an input fails verification (exit 3); main maps everything else.
+    # No handler catches anything: main maps every exception to its exit code.
     handlers = [
         node
         for node in TREES["cli.py"].body
@@ -86,17 +85,9 @@ def test_only_main_maps_exceptions_to_exit_codes():
     ]
     assert len(handlers) == 5
     guarded = [
-        sorted(
-            call.func.id
-            for stmt in node.body
-            for call in ast.walk(stmt)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-        )
-        for handler in handlers
-        for node in ast.walk(handler)
-        if isinstance(node, ast.Try)
+        handler.name for handler in handlers for node in ast.walk(handler) if isinstance(node, ast.Try)
     ]
-    assert guarded == [["build_hybrid"]]
+    assert guarded == []
 
 
 def test_only_the_array_modules_read_the_star_marker():
