@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .hierarchy import grouping_params, hybrid_params
-from .pda import _mn_params
+from .pda import _mn_params, _refuse_huge_f
 
 Rational = Union[int, str, float, Fraction]
 Rate = Callable[[Rational, int], Fraction]
@@ -174,12 +174,13 @@ def wwcy_loads(p: SystemParams, s: SplitPoint) -> tuple[Fraction, Fraction]:
 
 
 _FORMULAS = ("knmd", "wwcy")
+_GRID_STEP = Fraction(1, 100)
 # Points per grid axis, i.e. a grid step of at least 1/10,000.
 _MAX_GRID_AXIS = 10_001
 
 
 def search_min_r1(
-    formula: str, p: SystemParams, grid_step: Rational = Fraction(1, 100)
+    formula: str, p: SystemParams, grid_step: Rational = _GRID_STEP
 ) -> tuple[SplitPoint, Fraction, Fraction]:
     """Grid search over alpha, beta in {0, step, ..., 1}.
 
@@ -265,8 +266,7 @@ def optimal_r2(p: SystemParams) -> Fraction:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One scheme evaluated at one memory point of a sweep; ``split`` is the
-    argmin (alpha, beta) of a grid search row, and None on every other row."""
+    """One scheme at one memory point; ``split`` is a search row's argmin (alpha, beta)."""
 
     scheme: str
     t: int
@@ -275,21 +275,27 @@ class ComparisonRow:
     r1: Fraction | None
     r2: Fraction | None
     f: int | None
-    feasible: bool = True
     split: SplitPoint | None = None
 
+    @property
+    def feasible(self) -> bool:
+        """False only on a hybrid-mn row with no matched single-layer arrays."""
+        return self.r1 is not None
 
-def compare_sweep(k1: int, k2: int, n: int, t_range: Iterable[int]) -> list[ComparisonRow]:
-    """Evaluate all schemes at the grouping construction's memory points.
 
-    For each t, the memory ratios are fixed by the grouping construction; the
-    rows cover that construction, the hybrid construction fed matched
-    single-layer arrays (marked infeasible when no such arrays exist at these
-    ratios), both baselines at alpha = beta = 1, and the per-layer optima
-    ("bound": R1 lower bound and optimal R2).
+def compare_sweep(
+    k1: int, k2: int, n: int, t_range: Iterable[int], grid_step: Rational = _GRID_STEP
+) -> list[ComparisonRow]:
+    """Every row ``compare`` prints: at each t's grouping memory ratios, that
+    construction, the hybrid fed matched MN arrays (infeasible if none exist),
+    both baselines at alpha = beta = 1 and at their least R1 on the grid of
+    ``grid_step`` ("-search"), and the per-layer optima ("bound"); sorted by
+    (t, scheme).  Every closed form, and so any refusal of a t, comes before
+    the step is read and any search runs.
     """
     whole = SplitPoint(alpha=Fraction(1), beta=Fraction(1))
     rows: list[ComparisonRow] = []
+    searches: list[tuple[int, Fraction, Fraction, SystemParams]] = []
     for t in t_range:
         loads, _, _ = grouping_params(k1, k2, t)
         m1r, m2r = loads.m1_ratio, loads.m2_ratio
@@ -297,7 +303,9 @@ def compare_sweep(k1: int, k2: int, n: int, t_range: Iterable[int]) -> list[Comp
         t1, t2 = m1r * k1, m2r * k2
         hybrid = (None, None, None)
         if t1.denominator == 1 and t2.denominator == 1 and 1 <= t1 <= k1 and 1 <= t2 <= k2:
-            h = hybrid_params(_mn_params(k1, int(t1)), _mn_params(k2, int(t2)))
+            t1, t2 = int(t1), int(t2)
+            _refuse_huge_f("hybrid F", (k1, t1), (k2, t2))
+            h = hybrid_params(_mn_params(k1, t1), _mn_params(k2, t2))
             hybrid = (h.r1, h.r2, h.f)
         table = (  # (scheme, r1, r2, f); hybrid-mn has no r1 where it is infeasible
             ("grouping", loads.r1, loads.r2, loads.f),
@@ -306,6 +314,11 @@ def compare_sweep(k1: int, k2: int, n: int, t_range: Iterable[int]) -> list[Comp
             ("wwcy", *wwcy_loads(params, whole), None),
             ("bound", lower_bound_r1(params), optimal_r2(params), None),
         )
-        for scheme, r1, r2, f in table:
-            rows.append(ComparisonRow(scheme, t, m1r, m2r, r1, r2, f, feasible=r1 is not None))
-    return rows
+        rows += (ComparisonRow(scheme, t, m1r, m2r, r1, r2, f) for scheme, r1, r2, f in table)
+        searches.append((t, m1r, m2r, params))
+    step = _fraction(grid_step)
+    for t, m1r, m2r, params in searches:
+        for formula in _FORMULAS:
+            point, r1, r2 = search_min_r1(formula, params, step)
+            rows.append(ComparisonRow(f"{formula}-search", t, m1r, m2r, r1, r2, None, point))
+    return sorted(rows, key=lambda row: (row.t, row.scheme))

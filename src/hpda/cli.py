@@ -11,14 +11,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
-from .analysis import (
-    SystemParams,
-    compare_sweep,
-    search_min_r1,
-)
+from .analysis import compare_sweep
 from .hierarchy import (
     Hpda,
     build_grouping,
@@ -100,12 +95,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(map(int, args.demand.split(","))))
     result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     t = result.transcript
+    if args.transcript:  # before any output, so that a failed write prints nothing
+        t.dump(args.transcript)
     flag = "success" if result.success else "failure"
     print(f"{flag} R1={t.server_packets}/{t.f} R2={max(t.mirror_packets(k) for k in t.mirror_signals)}/{t.f}")
     for k1 in sorted(t.mirror_signals):
         print(f"mirror {k1}: {t.mirror_packets(k1)} packets")
-    if args.transcript:
-        t.dump(args.transcript)
     return EXIT_OK if result.success else EXIT_INVALID
 
 
@@ -118,16 +113,8 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    t_list = [int(tok) for tok in args.t.split(",") if tok.strip()] if args.t else []
-    rows = compare_sweep(args.k1, args.k2, args.n, t_list)
-    step = Fraction(args.grid_step)
-    for row in [row for row in rows if row.scheme == "grouping"]:
-        params = SystemParams(args.k1, args.k2, args.n, row.m1_ratio * args.n, row.m2_ratio * args.n)
-        for formula in ("knmd", "wwcy"):
-            point, r1, r2 = search_min_r1(formula, params, step)
-            rows.append(replace(row, scheme=f"{formula}-search", r1=r1, r2=r2, f=None, split=point))
-    rows.sort(key=lambda row: (row.t, row.scheme))
-
+    t_list = [int(tok) for tok in args.t.split(",") if tok.strip()]
+    rows = compare_sweep(args.k1, args.k2, args.n, t_list, args.grid_step)
     if args.format == "json":
         payload = [
             {

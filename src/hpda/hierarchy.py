@@ -24,10 +24,10 @@ from .pda import (
     VerificationReport,
     _distinct_ids,
     _MAX_MN_CELLS,
-    _mn_magnitude,
     _mn_rows,
     _parse_header,
     _read_text,
+    _refuse_huge_f,
     _size,
     _write_text,
     verify_pda,
@@ -232,9 +232,7 @@ def grouping_params(k1: int, k2: int, t: int) -> tuple[SchemeLoads, int, int]:
     """Closed-form (loads, Z1, Z2) of the grouping construction at (k1, k2, t);
     an F = C(K, t) of more than 1,000 digits is refused before any is computed."""
     k = _grouping_k(k1, k2, t)
-    magnitude = _mn_magnitude(k, t) - round(math.log10(k)) if k >= 3322 else 0  # log10 F
-    if magnitude >= 1000:  # never below K = 3,322: F < 2^K < 10^1000
-        raise ValueError(f"F = C({k}, {t}) is about 10^{magnitude}, more than 1000 digits")
+    _refuse_huge_f("F", (k, t))
     f = math.comb(k, t)
     z1 = math.comb(k - k2, t - k2)
     z2 = math.comb(k - 1, t - 1) - z1

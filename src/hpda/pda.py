@@ -120,22 +120,33 @@ def _size(n: int) -> int | str:
     return n if n < 10**100 else f"about 10^{math.log10(n):.0f}"
 
 
-def _mn_magnitude(k: int, t: int) -> int:
-    """log10 of C(k, t)·k, rounded, from Stirling's series.
+def _log10_comb(k: int, t: int) -> Fraction:
+    """log10 C(k, t), unrounded, from Stirling's series.
 
     With m = min(t, k - t), n = k - m and r = m/n, ln C(k, t) is
     m·(ln(1+r)/r + ln(k/m)) + (ln(1+r) - ln(2πm))/2 + (1/k - 1/n - 1/m)/12,
     up to 1/(360·m³).  No factorial is computed, and ``m`` multiplies an exact
     rational, so no float overflows however large k is.
     """
-    m, ln = min(t, k - t), Fraction(math.log(k))
+    m, ln = min(t, k - t), Fraction(0)
     if m:
         n, r = k - m, m / (k - m)
         head = math.log1p(r) / r if r else 1.0  # n·ln(1+r)/m, which tends to 1
         tail = (math.log1p(r) - math.log(2 * math.pi) - math.log(m)) / 2
         tail += (1 / k - 1 / n - 1 / m) / 12
-        ln += m * Fraction(head + math.log(k) - math.log(m)) + Fraction(tail)
-    return round(ln / Fraction(math.log(10)))
+        ln = m * Fraction(head + math.log(k) - math.log(m)) + Fraction(tail)
+    return ln / Fraction(math.log(10))
+
+
+def _refuse_huge_f(name: str, *combs: tuple[int, int]) -> None:
+    """Refuse an F = C(k, t)·... of more than 1,000 digits from its magnitude
+    alone, before any is computed; never below a total k of 3,322, where
+    F < 2^k < 10^1000."""
+    if sum(k for k, _ in combs) >= 3322:
+        magnitude = round(sum(_log10_comb(k, t) for k, t in combs))
+        if magnitude >= 1000:
+            terms = "*".join(f"C({k}, {t})" for k, t in combs)
+            raise ValueError(f"{name} = {terms} is about 10^{magnitude}, more than 1000 digits")
 
 
 def _mn_rows(k: int, t: int) -> list[tuple[Cell, ...]]:
@@ -144,8 +155,8 @@ def _mn_rows(k: int, t: int) -> list[tuple[Cell, ...]]:
     Tuples, so that a block's slices of them are kept as they are, not copied.
     An array of more than ``_MAX_MN_CELLS`` cells is refused before any is made.
     """
-    magnitude = _mn_magnitude(k, t)  # count exactly only far below str()'s 4,300 digits
-    cells = math.comb(k, t) * k if magnitude < 1000 else None
+    magnitude = round(_log10_comb(k, t) + Fraction(math.log10(k)))  # log10 of the cells
+    cells = math.comb(k, t) * k if magnitude < 1000 else None  # far below str()'s 4,300 digits
     if cells is None or cells > _MAX_MN_CELLS:
         size = f"about 10^{magnitude}" if cells is None else _size(cells)
         raise ValueError(f"MN array for k={k}, t={t} has {size} cells, more than {_MAX_MN_CELLS}")

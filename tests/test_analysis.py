@@ -1,5 +1,6 @@
 """Closed-form baselines, the lower bound, the grid search, and sweeps."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb, floor
@@ -8,6 +9,7 @@ import pytest
 
 import hpda.analysis
 from hpda import (
+    ComparisonRow,
     SplitPoint,
     SystemParams,
     build_grouping,
@@ -371,16 +373,30 @@ def test_optimal_r2_examples():
 
 def test_compare_sweep_golden_point():
     rows = compare_sweep(3, 2, 6, [4])
+    schemes = ["bound", "grouping", "hybrid-mn", "knmd", "knmd-search", "wwcy", "wwcy-search"]
+    assert [r.scheme for r in rows] == schemes  # sorted by (t, scheme)
     by_scheme = {r.scheme: r for r in rows}
-    assert set(by_scheme) == {"grouping", "hybrid-mn", "knmd", "wwcy", "bound"}
     g = by_scheme["grouping"]
     assert (g.r1, g.r2, g.f) == (Fraction(2, 5), Fraction(6, 5), 15)
     assert by_scheme["bound"].r1 == Fraction(2, 5)
     assert by_scheme["bound"].r2 == Fraction(6, 5)
     assert not by_scheme["hybrid-mn"].feasible  # 3*(2/5) is not an integer
+    assert all(r.feasible for r in rows if r.scheme != "hybrid-mn")
+    assert "feasible" not in {field.name for field in dataclasses.fields(ComparisonRow)}
     assert by_scheme["knmd"].r1 == 2 * r_c(Fraction(2, 5), 3)
     assert by_scheme["wwcy"].r1 == r_c(Fraction(2, 5), 3) * r_c(Fraction(4, 15), 2)
-    assert all(r.split is None for r in rows)  # only the CLI's search rows carry one
+    params = SystemParams(k1=3, k2=2, n_files=6, m1=Fraction(12, 5), m2=Fraction(8, 5))
+    for formula in ("knmd", "wwcy"):
+        row = by_scheme[f"{formula}-search"]
+        assert (row.split, row.r1, row.r2) == search_min_r1(formula, params)
+        assert row.f is None and (row.m1_ratio, row.m2_ratio) == (g.m1_ratio, g.m2_ratio)
+    assert [r.scheme for r in rows if r.split is not None] == ["knmd-search", "wwcy-search"]
+
+
+def test_compare_sweep_sorts_rows_by_t_and_scheme():
+    rows = compare_sweep(3, 2, 6, [5, 4], grid_step="1/4")
+    assert [(r.t, r.scheme) for r in rows] == sorted((r.t, r.scheme) for r in rows)
+    assert len(rows) == 14
 
 
 def test_compare_sweep_feasible_hybrid_row():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import math
 import time
 
 import pytest
@@ -373,6 +374,22 @@ def test_compare_rejects_out_of_range_t(capsys):
     assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["--t", "4,2", "--grid-step", "0"], "error: t must satisfy 2 < t < 6, got 2\n"),
+        (["--t", "2", "--grid-step", "1/0"], "error: t must satisfy 2 < t < 6, got 2\n"),
+        (["--t", "4", "--grid-step", "1/0"], "error: Fraction(1, 0)\n"),
+        (["--grid-step", "1/0"], "error: Fraction(1, 0)\n"),
+    ],
+    ids=["bad-t-before-zero-step", "bad-t-before-unreadable-step", "unreadable-step", "no-t"],
+)
+def test_compare_refuses_every_t_before_reading_the_grid_step(capsys, argv, stderr):
+    # Every t's closed forms run before the step is read, even with no t at all.
+    assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", *argv]) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
 def test_compare_rejects_non_integer_t(capsys):
     assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "x"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -392,9 +409,10 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     hpda_path.write_text(format_hpda(build_grouping(3, 2, 4)))
     argv = [a.format(hpda=hpda_path) for a in argv] + [str(tmp_path / "missing" / "x")]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing is printed before the failed write
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -490,6 +508,37 @@ def test_compare_refuses_a_huge_f_at_once(capsys, monkeypatch, k, t, magnitude):
     assert captured.err == (
         f"error: F = C({k * k}, {t}) is about 10^{magnitude}, more than 1000 digits\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["--k1", "2", "--k2", "15001", "--t", "30001", "--grid-step", "1/10"],
+            "error: hybrid F = C(2, 1)*C(15001, 7500) is about 10^4514, more than 1000 digits\n",
+        ),
+        (
+            ["--k1", "2", "--k2", "1700", "--t", "1720"],
+            "error: F = C(3400, 1720) is about 10^1022, more than 1000 digits\n",
+        ),
+    ],
+    ids=["hybrid", "rounded-once"],
+)
+def test_compare_refuses_a_huge_hybrid_f_and_rounds_once(capsys, monkeypatch, argv, stderr):
+    # log10(C(2, 1)*C(15001, 7500)) = 4513.87 and log10 C(3400, 1720) = 1021.54.
+    # The grouping F = C(30002, 30001) of the first is small and computed, so
+    # math.comb fails only where its result could exceed 1,000 digits.
+    comb = math.comb
+
+    def guarded(k, t):
+        assert min(t, k - t) * math.log10(k) <= 1000, f"math.comb({k}, {t}) ran"
+        return comb(k, t)
+
+    monkeypatch.setattr(math, "comb", guarded)
+    start = time.perf_counter()
+    assert main(["compare", "--n", "6", *argv]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", stderr)
 
 
 def test_library_over_budget_exits_2(tmp_path, capsys):

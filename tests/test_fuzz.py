@@ -24,6 +24,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -157,7 +158,9 @@ def argv_corpus(work: Path) -> list[tuple[str, list[str]]]:
 
 def _normalise(stderr: str, work: Path) -> str:
     """Stderr without argparse's usage block, whose wrapping depends on the
-    terminal width, and with the temporary directory named ``<tmp>``."""
+    terminal width, without the quotes around the choices it lists, which
+    newer Pythons (3.13.13, for one) leave out, and with the temporary
+    directory named ``<tmp>``."""
     kept = []
     in_usage = False
     for line in stderr.splitlines():
@@ -168,7 +171,8 @@ def _normalise(stderr: str, work: Path) -> str:
         else:
             in_usage = False
             kept.append(line)
-    return "\n".join(kept).replace(str(work), "<tmp>")
+    text = "\n".join(kept).replace(str(work), "<tmp>")
+    return re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), text)
 
 
 def run(argv: list[str], work: Path) -> list:

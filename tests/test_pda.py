@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -305,11 +306,22 @@ def test_mn_budget_refuses_a_huge_array_from_its_magnitude_alone(monkeypatch):
 
 
 def test_mn_magnitude_rounds_like_the_exact_count():
+    # The magnitude _mn_rows names: log10 C(k, t) plus log10 k, rounded once.
     rng = random.Random(14)
     cases = [(k, t) for k in range(1, 41) for t in range(1, k + 1)]
     cases += [(k, rng.randint(1, k)) for k in (rng.randint(41, 5000) for _ in range(200))]
     for k, t in cases:
-        assert hpda.pda._mn_magnitude(k, t) == round(math.log10(math.comb(k, t) * k)), (k, t)
+        magnitude = round(hpda.pda._log10_comb(k, t) + Fraction(math.log10(k)))
+        assert magnitude == round(math.log10(math.comb(k, t) * k)), (k, t)
+
+
+def test_log10_comb_rounds_like_the_exact_count():
+    # math.log10 reads a big int without converting it to str.
+    cases = [(k, t) for k in range(1, 5001, 11) for t in range(max(0, k // 2 - 2), k // 2 + 3)]
+    cases.append((3400, 1720))  # 1021.54: rounding twice named 10^1021
+    for k, t in cases:
+        if t <= k:
+            assert round(hpda.pda._log10_comb(k, t)) == round(math.log10(math.comb(k, t))), (k, t)
 
 
 def test_mn_budget_is_inclusive(monkeypatch):

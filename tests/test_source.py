@@ -1,5 +1,6 @@
 """Static checks on the package source: no unused import, no dead private name,
-and exit codes decided in ``cli.main`` alone."""
+exit codes decided in ``cli.main`` alone, and ``compare``'s rows built in
+``analysis`` alone."""
 
 import ast
 from pathlib import Path
@@ -88,6 +89,18 @@ def test_only_main_maps_exceptions_to_exit_codes():
         handler.name for handler in handlers for node in ast.walk(handler) if isinstance(node, ast.Try)
     ]
     assert guarded == []
+
+
+def test_cli_takes_every_compare_row_from_compare_sweep():
+    # The CLI builds no row: the searches, their parameters and the row order
+    # stay in analysis, behind one call.
+    imported = [
+        alias.name
+        for node in ast.walk(TREES["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "analysis"
+        for alias in node.names
+    ]
+    assert imported == ["compare_sweep"]
 
 
 def test_only_the_array_modules_read_the_star_marker():
