@@ -284,14 +284,14 @@ class ComparisonRow:
 
 
 def compare_sweep(
-    k1: int, k2: int, n: int, t_range: Iterable[int], grid_step: Rational = _GRID_STEP
+    k1: int, k2: int, n: int, t_range: Iterable[int], grid_step: Rational | None = None
 ) -> list[ComparisonRow]:
     """Every row ``compare`` prints: at each t's grouping memory ratios, that
     construction, the hybrid fed matched MN arrays (infeasible if none exist),
     both baselines at alpha = beta = 1 and at their least R1 on the grid of
-    ``grid_step`` ("-search"), and the per-layer optima ("bound"); sorted by
-    (t, scheme).  Every closed form, and so any refusal of a t, comes before
-    the step is read and any search runs.
+    ``grid_step`` (``_GRID_STEP`` when None; "-search"), and the per-layer
+    optima ("bound"); sorted by (t, scheme).  Every closed form, and so any
+    refusal of a t, comes before the step is read and any search runs.
     """
     whole = SplitPoint(alpha=Fraction(1), beta=Fraction(1))
     rows: list[ComparisonRow] = []
@@ -316,7 +316,7 @@ def compare_sweep(
         )
         rows += (ComparisonRow(scheme, t, m1r, m2r, r1, r2, f) for scheme, r1, r2, f in table)
         searches.append((t, m1r, m2r, params))
-    step = _fraction(grid_step)
+    step = _fraction(_GRID_STEP if grid_step is None else grid_step)
     for t, m1r, m2r, params in searches:
         for formula in _FORMULAS:
             point, r1, r2 = search_min_r1(formula, params, step)

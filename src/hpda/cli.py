@@ -41,6 +41,8 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BAD_ARTIFACT = 3
 
+_FORMATS = ("table", "json")
+
 
 def _cmd_construct_pda(args: argparse.Namespace) -> int:
     save_pda(mn_pda(args.k, args.t), args.out or sys.stdout)
@@ -113,9 +115,12 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    fmt = args.format or os.environ.get("HPDA_FORMAT") or "table"
+    if fmt not in _FORMATS:  # argparse checks choices on the command line only
+        raise ValueError(f"HPDA_FORMAT={fmt!r} is not one of {', '.join(_FORMATS)}")
     t_list = [int(tok) for tok in args.t.split(",") if tok.strip()]
     rows = compare_sweep(args.k1, args.k2, args.n, t_list, args.grid_step)
-    if args.format == "json":
+    if fmt == "json":
         payload = [
             {
                 "scheme": row.scheme,
@@ -188,12 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--k2", type=int, required=True)
     cmp_.add_argument("--n", type=int, required=True)
     cmp_.add_argument("--t", default="", help="comma-separated t values")
-    cmp_.add_argument("--grid-step", default="1/100", help="alpha-beta search step")
-    cmp_.add_argument(
-        "--format",
-        choices=["table", "json"],
-        default=os.environ.get("HPDA_FORMAT", "table"),
-    )
+    cmp_.add_argument("--grid-step", help="alpha-beta search step")
+    cmp_.add_argument("--format", choices=_FORMATS, help="default: $HPDA_FORMAT, else table")
     cmp_.set_defaults(handler=_cmd_compare)
     return parser
 

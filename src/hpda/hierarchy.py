@@ -320,23 +320,6 @@ def hybrid_params(
     )
 
 
-def inner_sets_disjoint(outer: Pda, inner: Pda) -> bool:
-    """Check the shift layout of :func:`build_hybrid` never reuses an id.
-
-    Copies replacing equal outer integers are one copy (they share ids by
-    design); every outer star gets its own copy.  These copies are pairwise
-    disjoint exactly when their union holds as many ids as they do together.
-    """
-    base = inner.integer_set()
-    shifts = {
-        (c, j) if outer.grid[j][c] == STAR else outer.grid[j][c]: slot
-        for c, column in enumerate(_slots(outer))
-        for j, slot in enumerate(column)
-    }
-    union = {v + shift * inner.s for shift in shifts.values() for v in base}
-    return len(union) == len(shifts) * len(base)
-
-
 def loads_from_hpda(h: Hpda) -> SchemeLoads:
     """Loads measured from the id sets of a verified array (not closed forms)."""
     report = verify_hpda(h)

@@ -1,4 +1,4 @@
-"""Single-layer placement delivery arrays: construction, verification, transforms.
+"""Single-layer placement delivery arrays: construction, verification, text format.
 
 A placement delivery array is an F x K grid whose cells are either the star
 marker (a cached packet) or a positive integer (a multicast id shared by every
@@ -193,39 +193,6 @@ def verify_pda(p: Pda) -> VerificationReport:
 
     violations = pda_violations(p)
     return VerificationReport(valid=not violations, violations=tuple(violations))
-
-
-def pda_shift(p: Pda, a: int) -> Pda:
-    """Add ``a`` to every integer cell, leaving stars untouched."""
-    if a == 0:
-        return p
-    low = min(p.integer_set(), default=1)
-    if low + a < 1:
-        raise ValueError(f"shift by {a} sends {low} below 1")
-    rows = (tuple(cell if cell == STAR else cell + a for cell in row) for row in p.grid)
-    return Pda(k=p.k, f=p.f, z=p.z, s=p.s, grid=rows)
-
-
-def star_rows(p: Pda) -> list[int]:
-    """Ascending 1-based indices of rows consisting entirely of stars."""
-    return [j + 1 for j, row in enumerate(p.grid) if all(c == STAR for c in row)]
-
-
-def column_partition(p: Pda, k1: int) -> list[Pda]:
-    """Split into k1 blocks of consecutive columns, rows unchanged.
-
-    Block i keeps columns [(i-1)*K/k1 + 1 .. i*K/k1].  Each block's declared
-    star count is inherited from the parent; its integer count is recounted
-    from the block's own cells.
-    """
-    if k1 < 1 or p.k % k1 != 0:
-        raise ValueError(f"k1={k1} does not divide K={p.k}")
-    width = p.k // k1
-    blocks = []
-    for i in range(k1):
-        rows = tuple(row[i * width : (i + 1) * width] for row in p.grid)
-        blocks.append(Pda(k=width, f=p.f, z=p.z, s=len(_distinct_ids(rows)), grid=rows))
-    return blocks
 
 
 def format_pda(p: Pda) -> str:

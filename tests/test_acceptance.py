@@ -23,7 +23,6 @@ from hpda import (
     compare_sweep,
     grouping_params,
     hybrid_params,
-    inner_sets_disjoint,
     knmd_loads,
     loads_from_hpda,
     lower_bound_r1,
@@ -39,6 +38,7 @@ from hpda import (
 )
 from hpda.simulation import FileLibrary, mirror_delivery, server_delivery
 
+from reference import inner_sets_disjoint
 from test_hpda import GOLDEN_15x9_BLOCKS, GOLDEN_15x9_MIRROR, golden_15x9
 
 

@@ -3,17 +3,20 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
+import hpda.analysis
 import hpda.cli
 import hpda.grids
 import hpda.hierarchy
-from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, pda_shift, save_pda
+from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, save_pda
 from hpda.cli import main
 from hpda.pda import InvalidArrayError
 from hpda.simulation import DecodingError
 
+from reference import pda_shift
 from test_pda import refuse_huge_combs
 
 
@@ -178,8 +181,6 @@ def test_verify_invalid_pda_lists_conditions(tmp_path, capsys):
 
 
 def test_construct_hpda_hybrid_rejects_shifted_alphabet(tmp_path, capsys):
-    from hpda import pda_shift
-
     a = tmp_path / "a.pda"
     save_pda(pda_shift(mn_pda(3, 1), 5), a)  # valid array, ids 6..8
     b = tmp_path / "b.pda"
@@ -361,6 +362,38 @@ def test_compare_env_var_sets_default_format(capsys, monkeypatch):
     rc = main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "", "--grid-step", "1"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out) == []
+
+
+def test_compare_refuses_an_unknown_hpda_format(capsys, monkeypatch):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4", "--grid-step", "1/2"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    monkeypatch.setenv("HPDA_FORMAT", "xml")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: HPDA_FORMAT='xml' is not one of table, json\n")
+    # An explicit --format wins over the environment.
+    assert main([*argv, "--format", "table"]) == 0
+    assert capsys.readouterr().out == table
+    monkeypatch.setenv("HPDA_FORMAT", "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_compare_refuses_an_unknown_format_option(capsys):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4", "--format", "xml"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --format: invalid choice: 'xml' (choose from " in err
+
+
+def test_compare_grid_step_default_is_read_from_analysis(capsys, monkeypatch):
+    # The parser has no grid step of its own: compare_sweep reads _GRID_STEP.
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4"]
+    assert main([*argv, "--grid-step", "1/4"]) == 0
+    golden = capsys.readouterr().out
+    monkeypatch.setattr(hpda.analysis, "_GRID_STEP", Fraction(1, 4))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_compare_empty_t_list_table(capsys):

@@ -21,24 +21,21 @@ from hpda import (
     PdaFormatError,
     build_grouping,
     build_hybrid,
-    column_partition,
     derive_s_m,
     format_hpda,
     grouping_params,
     hybrid_params,
-    inner_sets_disjoint,
     load_hpda,
     loads_from_hpda,
     mn_pda,
     parse_hpda,
     parse_pda,
-    pda_shift,
     save_hpda,
-    star_rows,
     verify_hpda,
     verify_pda,
 )
 
+from reference import inner_sets_disjoint, pda_shift, reference_grouping, reference_hybrid
 from test_pda import refuse_huge_combs
 
 S = STAR
@@ -516,63 +513,6 @@ def test_grouping_block_sizes_match_closed_forms():
         expected = k2 * z1 + s - math.comb(k - k2, t + 1)
         assert all(len(sk) == expected for sk in h.s_k)
         assert len(h.s_m) == k * z1
-
-
-def reference_grouping(k1, k2, t):
-    """The paper's grouping, from the public primitives: split an MN array's
-    columns into k1 blocks; each block's all-star rows become its mirror's
-    cached rows and take fresh ids, block by block, row by row, left to right."""
-    q = mn_pda(k1 * k2, t)
-    parts = column_partition(q, k1)
-    cached = [star_rows(part) for part in parts]
-    next_id = q.s + 1
-    grids = []
-    for part, rows in zip(parts, cached):
-        grid = list(part.grid)
-        for j in rows:
-            grid[j - 1] = tuple(range(next_id, next_id + k2))
-            next_id += k2
-        grids.append(grid)
-    z1 = len(cached[0])
-    mirror = MirrorPlacement(
-        grid=[[S if j in rows else None for rows in cached] for j in range(1, q.f + 1)]
-    )
-    blocks = tuple(
-        Pda(k=k2, f=q.f, z=q.z - z1, s=len({c for row in g for c in row} - {S}), grid=g)
-        for g in grids
-    )
-    return Hpda(
-        k1=k1, k2=k2, f=q.f, z1=z1, z2=q.z - z1, mirror=mirror, blocks=blocks,
-        s_m=frozenset(range(q.s + 1, next_id)),
-    )
-
-
-def reference_hybrid(outer, inner):
-    """The paper's hybrid, from the public primitives: block c stacks one
-    shifted inner copy per outer cell of column c.  Outer integer s takes
-    shift (s - 1) * S2; outer stars take fresh shifts after all of them,
-    column by column, top to bottom, and their ids are the mirror-only ones."""
-    fresh = outer.s
-    blocks = []
-    for c in range(outer.k):
-        rows = []
-        for row in outer.grid:
-            if row[c] == S:
-                slot, fresh = fresh, fresh + 1
-            else:
-                slot = row[c] - 1
-            rows.extend(pda_shift(inner, slot * inner.s).grid)
-        blocks.append(
-            Pda(k=inner.k, f=outer.f * inner.f, z=outer.f * inner.z, s=outer.f * inner.s, grid=rows)
-        )
-    mirror = MirrorPlacement(
-        grid=[tuple(None if cell != S else S for cell in row) for row in outer.grid for _ in inner.grid]
-    )
-    return Hpda(
-        k1=outer.k, k2=inner.k, f=outer.f * inner.f, z1=outer.z * inner.f, z2=inner.z * outer.f,
-        mirror=mirror, blocks=tuple(blocks),
-        s_m=frozenset(range(outer.s * inner.s + 1, fresh * inner.s + 1)),
-    )
 
 
 def test_grouping_equals_the_papers_composition():

