@@ -90,11 +90,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
+def _integers(text: str, option: str, skip_blank: bool = False) -> list[int]:
+    """The comma-separated integers of ``option``, in ASCII digits as in an
+    array file; ``skip_blank`` drops blank tokens rather than refusing them."""
+    tokens = [token for token in map(str.strip, text.split(",")) if token or not skip_blank]
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"{option} takes comma-separated integers in ASCII digits, got {token!r}")
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{option} takes integers of at most {sys.get_int_max_str_digits()} digits") from None
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     h = load_hpda(args.path)
     d = None  # simulate's default: every user requests a distinct file
     if args.demand:
-        d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(map(int, args.demand.split(","))))
+        d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(_integers(args.demand, "--demand")))
     result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     t = result.transcript
     if args.transcript:  # before any output, so that a failed write prints nothing
@@ -118,7 +131,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     fmt = args.format or os.environ.get("HPDA_FORMAT") or "table"
     if fmt not in _FORMATS:  # argparse checks choices on the command line only
         raise ValueError(f"HPDA_FORMAT={fmt!r} is not one of {', '.join(_FORMATS)}")
-    t_list = [int(tok) for tok in args.t.split(",") if tok.strip()]
+    t_list = _integers(args.t, "--t", skip_blank=True)
     rows = compare_sweep(args.k1, args.k2, args.n, t_list, args.grid_step)
     if fmt == "json":
         payload = [

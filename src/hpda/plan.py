@@ -9,7 +9,8 @@ plan's own methods execute it for any demand; the public stages in
 A term names one packet of a delivery: term ``((k1 - 1) * K2 + k2 - 1) * F +
 j - 1`` is packet row j of the file that user (k1, k2) demands.  The plan holds
 runs of terms in flat ``array('i')`` buffers, one run per signal or per row a
-user decodes, and each payload is one XOR reduction over its run.
+user decodes.  Packets are ints while they are XORed: each set of runs takes
+its payloads from one running XOR over all its terms.
 
 Caches are honest: the compile checks every term a mirror or a user would
 combine against that receiver's grid, and records the failure of a receiver
@@ -20,19 +21,16 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, sub, xor
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .grids import _FLIP
-from .simulation import DecodingError
+from .simulation import BYTEORDER, DecodingError
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
 
-# Named explicitly: int.from_bytes has no default byte order before Python 3.11.
-BYTEORDER = "big"
 _CODES = bytes.maketrans(b"\x00\x01", b"\x02\x01")
 
 
@@ -44,23 +42,51 @@ class Runs(NamedTuple):
     offsets: array
     terms: array
 
-    def payloads(
-        self, packets: Sequence[bytes], size: int, starts: Iterable[bytes] | None = None
-    ) -> list[bytes]:
-        """Each run's packets XORed into its start payload, or into zeros.
+    def payloads(self, values: Sequence[int]) -> list[int]:
+        """The XOR of each run's packets; ``values[t]`` is term t's packet."""
+        return self.xors(map(values.__getitem__, self.terms))
 
-        ``packets`` holds the packet of every term, in term order, each
-        ``size`` bytes long.  Payloads are ints only inside this call.
+    def xors(self, packets: Iterable[int]) -> list[int]:
+        """The XOR of each run, ``packets`` giving the packet of every term of
+        every run in order.
+
+        One running XOR over all terms gives every run as ``pre[hi] ^
+        pre[lo]`` at its bounds, and only the prefixes at bounds are kept.
         """
-        get, terms = packets.__getitem__, self.terms
-        ints = repeat(0) if starts is None else map(int.from_bytes, starts, repeat(BYTEORDER))
-        values = [
-            reduce(xor, map(int.from_bytes, map(get, terms[lo:hi]), repeat(BYTEORDER)), start)
-            if lo != hi
-            else start
-            for start, lo, hi in zip(ints, self.offsets, self.offsets[1:])
-        ]
-        return list(map(int.to_bytes, values, repeat(size), repeat(BYTEORDER)))
+        offsets = self.offsets
+        marks = bytearray(len(self.terms) + 1)
+        for bound in offsets:
+            marks[bound] = 1
+        pre = list(compress(accumulate(packets, xor, initial=0), marks))
+        if len(pre) < len(offsets):  # an empty run shares its bound with the next run
+            pre = list(map(dict(zip(dict.fromkeys(offsets), pre)).__getitem__, offsets))
+        return list(map(xor, pre[1:], pre))
+
+
+def _ints(packets: Sequence[bytes], terms: Iterable[int]) -> Iterator[int]:
+    """The packet of each term, as an int.  The terms that a public stage
+    converts are distinct: each term has one id, and each id one run in a
+    set of runs; a user whose column repeats an id fails before converting."""
+    return map(int.from_bytes, map(packets.__getitem__, terms), repeat(BYTEORDER))
+
+
+def _to_bytes(values: Iterable[int], size: int) -> list[bytes]:
+    return list(map(int.to_bytes, values, repeat(size), repeat(BYTEORDER)))
+
+
+def _fold(starts: Iterable[int], runs: Iterable[int]) -> list[int]:
+    """Each run's XOR added to its start payload; a run that adds nothing,
+    such as an empty one, passes its start on."""
+    return [start ^ run if run else start for start, run in zip(starts, runs)]
+
+
+def _fold_bytes(starts: Iterable[bytes], runs: Iterable[int], size: int) -> list[bytes]:
+    """:func:`_fold` on ``size``-byte payloads: a start that passes on is
+    never converted."""
+    return [
+        (int.from_bytes(start, BYTEORDER) ^ run).to_bytes(size, BYTEORDER) if run else start
+        for start, run in zip(starts, runs)
+    ]
 
 
 def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
@@ -96,6 +122,12 @@ class UserPlan(NamedTuple):
     order: array
     failure: str | None
 
+    def rows(self, wanted: Sequence, decoded: list) -> list:
+        """The file's rows in order: cached ones read from ``wanted``, the
+        user's own file, and the ``decoded`` ones."""
+        pieces = list(map(wanted.__getitem__, self.cached_rows)) + decoded
+        return list(map(pieces.__getitem__, self.order))
+
 
 class MirrorPlan(NamedTuple):
     """One mirror's delivery, and its users'.
@@ -120,7 +152,9 @@ class DeliveryPlan(NamedTuple):
     ``failure``, the message of the ``DecodingError`` its method raises.  The
     plan's counts give the loads without building any payload.
 
-    The methods take ``packets``, the packet of every term in term order, and
+    :meth:`simulate` runs on packets drawn as ints.  The other methods serve
+    the public stages: they take ``packets``, the ``bytes`` packet of every
+    term in term order, convert only those their own runs read, and take
     ``k1``, ``k2``, 1-based indices the caller has checked.
     """
 
@@ -145,7 +179,8 @@ class DeliveryPlan(NamedTuple):
         )
 
     def server_signals(self, packets: Sequence[bytes]) -> list[tuple[int, bytes]]:
-        return list(zip(self.server.ids, self.server.payloads(packets, len(packets[0]))))
+        payloads = self.server.xors(_ints(packets, self.server.terms))
+        return list(zip(self.server.ids, _to_bytes(payloads, len(packets[0]))))
 
     def mirror_signals(
         self, k1: int, server_signals: Iterable[tuple[int, bytes]], packets: Sequence[bytes]
@@ -159,8 +194,10 @@ class DeliveryPlan(NamedTuple):
         if mirror.failure:
             raise DecodingError(mirror.failure)
         size = len(packets[0])
-        payloads = mirror.strip.payloads(packets, size, starts) + mirror.local.payloads(packets, size)
-        return list(zip(mirror.strip.ids + mirror.local.ids, payloads))
+        strip, local = mirror.strip, mirror.local
+        payloads = _fold_bytes(starts, strip.xors(_ints(packets, strip.terms)), size)
+        payloads += _to_bytes(local.xors(_ints(packets, local.terms)), size)
+        return list(zip(strip.ids + local.ids, payloads))
 
     def decode(
         self,
@@ -188,9 +225,49 @@ class DeliveryPlan(NamedTuple):
             starts = list(map(received.__getitem__, user.cancel.ids))
         except KeyError as exc:
             raise DecodingError(f"no signal from mirror {k1} for id {exc.args[0]}") from None
-        pieces = list(map(wanted.__getitem__, user.cached_rows))
-        pieces += user.cancel.payloads(packets, len(wanted[0]), starts)
-        return b"".join(map(pieces.__getitem__, user.order))
+        runs = user.cancel.xors(_ints(packets, user.cancel.terms))
+        return b"".join(user.rows(wanted, _fold_bytes(starts, runs, len(wanted[0]))))
+
+    def simulate(
+        self, files: Sequence[list[int]], entries: Sequence[int], size: int
+    ) -> tuple[list[tuple[int, bytes]], dict[int, tuple[tuple[int, bytes], ...]], bool]:
+        """Both delivery rounds, then every user's decode, on int packets.
+
+        ``files`` holds each file's packets as a list of ints, and ``entries``
+        the file each user demands, in term order.  Signals stay ints from stage to
+        stage, and only the transcript's become ``bytes``.  Returns the
+        server's signals, each mirror's, and whether every user rebuilt its
+        file.  Failures raise as the public stages would, run in order.
+        """
+        wanted = [files[n - 1] for n in entries]
+        values = list(chain.from_iterable(wanted))
+        server = self.server.payloads(values)
+        received = dict(zip(self.server.ids, server))
+        sent = dict(zip(self.server.ids, _to_bytes(server, size)))
+        failure = next(filter(None, (m.failure for m in self.mirrors)), None)
+        if failure:
+            raise DecodingError(failure)
+        # Mirror by mirror, so that only one mirror's int signals are held.
+        success, mirrors, k2 = True, {}, len(self.mirrors[0].users)
+        for k1, mirror in enumerate(self.mirrors, start=1):
+            strip, local = mirror.strip, mirror.local
+            runs = strip.payloads(values)
+            payloads = _fold(map(received.__getitem__, strip.ids), runs) + local.payloads(values)
+            signals = dict(zip(strip.ids + local.ids, payloads))
+            theirs = wanted[(k1 - 1) * k2 : k1 * k2]
+            success = success and all(map(_rebuilt, mirror.users, repeat(signals), repeat(values), theirs))
+            wire = _fold_bytes(map(sent.__getitem__, strip.ids), runs, size)
+            wire += _to_bytes(payloads[len(runs) :], size)
+            mirrors[k1] = tuple(zip(strip.ids + local.ids, wire))
+        return list(sent.items()), mirrors, success
+
+
+def _rebuilt(user: UserPlan, signals: dict[int, int], values: Sequence[int], file: list[int]) -> bool:
+    """Whether the user, decoding from its mirror's ``signals``, rebuilds ``file``."""
+    if user.failure:
+        raise DecodingError(user.failure)
+    runs = user.cancel.payloads(values)
+    return user.rows(file, _fold(map(signals.__getitem__, user.cancel.ids), runs)) == file
 
 
 def compile_plan(h: Hpda) -> DeliveryPlan:

@@ -3,15 +3,15 @@
 Every signal is a byte-wise XOR of library packets.  The grids alone fix which
 packets each signal combines; the demand only picks the files.  So each array
 is compiled once, on its first delivery, into a delivery plan of packet terms
-(:mod:`hpda.plan`), which executes itself: every payload is one XOR reduction
-over a run of terms.  The stages below check their inputs and call the plan.
+(:mod:`hpda.plan`), which executes itself.  The stages below check their
+inputs and call the plan.
 
 Caches are honest: a receiver may only combine packets at rows its placement
 grid starred.  The plan checks every term once, when it is built, and the
 plan method that would need a forbidden packet raises ``DecodingError``,
 which flags an invalid array or transcript rather than silently producing
-garbage.  Payloads are ``bytes`` in the library and on the wire; they are ints
-only inside a reduction.
+garbage.  Payloads are ``bytes`` in the library and on the wire, and ints in
+a delivery; :func:`simulate` converts each packet as it is drawn.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
 from .hierarchy import Hpda
 from .pda import _size, _write_text
@@ -33,10 +33,36 @@ if TYPE_CHECKING:
 # Bytes of the largest library FileLibrary.random draws: 20 times the 13 MB
 # of a simulate of grouping(4,4,8) with 16 files of 64-byte packets.
 _MAX_LIBRARY_BYTES = 2**28
+# Named explicitly: int.from_bytes has no default byte order before Python 3.11.
+BYTEORDER = "big"
 
 
 class DecodingError(RuntimeError):
     """A receiver needed a packet it neither cached nor could cancel."""
+
+
+def _draw(n_files: int, f: int, packet_bytes: int, seed: int) -> Iterator[Iterator[bytes]]:
+    """The packets of each seeded file, sliced from the drawn bytes; consume
+    each file before the next.  The dimensions are checked before any draw."""
+    if min(n_files, f, packet_bytes) < 1:
+        raise ValueError("library dimensions must be positive")
+    size = n_files * f * packet_bytes
+    if size > _MAX_LIBRARY_BYTES:
+        raise ValueError(
+            f"library of {n_files} files x {f} packets x {packet_bytes} bytes"
+            f" has {_size(size)} bytes, more than {_MAX_LIBRARY_BYTES}"
+        )
+    rng = random.Random(seed)
+    # Drawn four files at a time, which bounds the transient blob.  The bytes
+    # equal one draw of the whole library: randbytes consumes whole 32-bit
+    # words, and four files always span a whole number of them.
+    for first in range(0, n_files, 4):
+        drawn = min(4, n_files - first)
+        blob = rng.randbytes(drawn * f * packet_bytes)
+        cuts = range(0, len(blob) + packet_bytes, packet_bytes)
+        packets = map(blob.__getitem__, map(slice, cuts, cuts[1:]))
+        yield from (islice(packets, f) for _ in range(drawn))
+        del blob, packets  # before the next draw, which briefly takes twice its bytes
 
 
 @dataclass(frozen=True)
@@ -62,26 +88,8 @@ class FileLibrary:
     @classmethod
     def random(cls, n_files: int, f: int, packet_bytes: int, seed: int) -> FileLibrary:
         """Seeded pseudo-random payloads; identical seeds give identical bytes."""
-        if min(n_files, f, packet_bytes) < 1:  # checked before any bytes are drawn
-            raise ValueError("library dimensions must be positive")
-        size = n_files * f * packet_bytes
-        if size > _MAX_LIBRARY_BYTES:
-            raise ValueError(
-                f"library of {n_files} files x {f} packets x {packet_bytes} bytes"
-                f" has {_size(size)} bytes, more than {_MAX_LIBRARY_BYTES}"
-            )
-        rng = random.Random(seed)
-        files: list[tuple[bytes, ...]] = []
-        # Drawn four files at a time, which bounds the transient blob.  The
-        # bytes equal one draw of the whole library: randbytes consumes whole
-        # 32-bit words, and four files always span a whole number of them.
-        for first in range(0, n_files, 4):
-            drawn = min(4, n_files - first)
-            blob = rng.randbytes(drawn * f * packet_bytes)
-            cuts = range(0, len(blob) + packet_bytes, packet_bytes)
-            packets = map(blob.__getitem__, map(slice, cuts, cuts[1:]))
-            files.extend(tuple(islice(packets, f)) for _ in range(drawn))
-        return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=tuple(files))
+        files = tuple(map(tuple, _draw(n_files, f, packet_bytes, seed)))
+        return cls(n_files=n_files, f=f, packet_bytes=packet_bytes, packets=files)
 
     def packet(self, n: int, j: int) -> bytes:
         """Packet j of file n, both 1-based."""
@@ -136,7 +144,7 @@ class CacheState:
 def place(h: Hpda, lib: FileLibrary) -> CacheState:
     """Fill caches from the array's star and mirror bytes (``h.occurrences``):
     starred rows are cached for every file."""
-    _check_library(h, lib)
+    _check_library(h, lib.f)
     occ, f, rows = h.occurrences, h.f, range(1, h.f + 1)
 
     def cut(flags: bytes, slot: int) -> frozenset[int]:
@@ -161,17 +169,17 @@ def delivery_plan(h: Hpda) -> DeliveryPlan:
     return h._delivery_plan
 
 
-def _check_library(h: Hpda, lib: FileLibrary) -> None:
-    if lib.f != h.f:
-        raise ValueError(f"library splits files into {lib.f} packets, array expects {h.f}")
+def _check_library(h: Hpda, f: int) -> None:
+    if f != h.f:
+        raise ValueError(f"library splits files into {f} packets, array expects {h.f}")
 
 
-def _check_inputs(h: Hpda, lib: FileLibrary, d: DemandVector) -> None:
-    _check_library(h, lib)
+def _check_inputs(h: Hpda, d: DemandVector, n_files: int, f: int) -> None:
+    _check_library(h, f)
     if (d.k1, d.k2) != (h.k1, h.k2):
         raise ValueError(f"demand shape ({d.k1},{d.k2}) != array shape ({h.k1},{h.k2})")
-    if max(d.entries) > lib.n_files:
-        raise ValueError(f"demand index {max(d.entries)} exceeds library size {lib.n_files}")
+    if max(d.entries) > n_files:
+        raise ValueError(f"demand index {max(d.entries)} exceeds library size {n_files}")
 
 
 def _demanded(lib: FileLibrary, d: DemandVector) -> list[bytes]:
@@ -185,7 +193,7 @@ def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[in
     The signal for id s is the XOR over every cell carrying s of the packet
     (demanded file of that cell's user, cell's row).
     """
-    _check_inputs(h, lib, d)
+    _check_inputs(h, d, lib.n_files, lib.f)
     return delivery_plan(h).server_signals(_demanded(lib, d))
 
 
@@ -203,7 +211,7 @@ def mirror_delivery(
     the block, built from the mirror cache alone.  Ids ascend within each
     part.
     """
-    _check_inputs(h, lib, d)
+    _check_inputs(h, d, lib.n_files, lib.f)
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
     return delivery_plan(h).mirror_signals(k1, server_signals, _demanded(lib, d))
@@ -225,7 +233,7 @@ def decode_user(
     remains is the requested packet.
     """
     lib = cache.library
-    _check_inputs(h, lib, d)
+    _check_inputs(h, d, lib.n_files, lib.f)
     wanted = lib.packets[d.demand(k1, k2) - 1]  # d has the array's shape, so this checks k1, k2
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.
@@ -291,19 +299,10 @@ def simulate(
     """
     if d is None:
         d = worst_case_demand(h.k1, h.k2, n_files)
-    lib = FileLibrary.random(n_files, h.f, packet_bytes, seed)
-    _check_inputs(h, lib, d)
-    plan = delivery_plan(h)
-    packets = _demanded(lib, d)
-    server = plan.server_signals(packets)
-    mirrors = {k1: tuple(plan.mirror_signals(k1, server, packets)) for k1 in range(1, h.k1 + 1)}
+    # Each packet becomes an int as it is drawn; no bytes of it are kept.
+    drawn = _draw(n_files, h.f, packet_bytes, seed)
+    files = [list(map(int.from_bytes, rows, repeat(BYTEORDER))) for rows in drawn]
+    _check_inputs(h, d, n_files, h.f)
+    server, mirrors, success = delivery_plan(h).simulate(files, d.entries, packet_bytes)
     transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
-    success = all(
-        plan.decode(k1, k2, mirrors[k1], packets, lib.packets[d.demand(k1, k2) - 1])
-        == lib.file(d.demand(k1, k2))
-        for k1 in range(1, h.k1 + 1)
-        for k2 in range(1, h.k2 + 1)
-    )
-    return SimulationResult(
-        transcript=transcript, r1=transcript.r1, r2=transcript.r2, success=success
-    )
+    return SimulationResult(transcript=transcript, r1=transcript.r1, r2=transcript.r2, success=success)

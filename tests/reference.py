@@ -1,14 +1,20 @@
-"""The paper's composition primitives, and its two HPDA classes built from them.
+"""The paper's composition primitives, its two HPDA classes built from them,
+and its two-layer delivery computed byte by byte.
 
 The paper builds its first class by splitting an MN array's columns into
 mirror groups and relabelling each group's all-star rows, and its second by
 stacking shifted copies of an inner array.  ``build_grouping`` and
 ``build_hybrid`` slice and shift cells directly; the tests check them against
 :func:`reference_grouping` and :func:`reference_hybrid`, which build the same
-arrays the paper's way.  This module imports only the public API of ``hpda``
-and keeps its own copies of the helpers it needs, so that the reference stays
-independent of the code it checks.
+arrays the paper's way.  :func:`reference_delivery` builds every signal and
+every decoded file straight from the grids, XORing packets byte by byte, with
+no delivery plan and no int conversion.  This module imports only the public
+API of ``hpda`` and keeps its own copies of the helpers it needs, so that the
+reference stays independent of the code it checks.
 """
+
+from functools import reduce
+from operator import xor
 
 from hpda import STAR, Hpda, MirrorPlacement, Pda, mn_pda
 
@@ -143,3 +149,68 @@ def reference_hybrid(outer, inner):
         mirror=mirror, blocks=tuple(blocks),
         s_m=frozenset(range(outer.s * inner.s + 1, fresh * inner.s + 1)),
     )
+
+
+def _xor(size, packets):
+    """The byte-wise XOR of ``size``-byte packets, zeros for none."""
+    return reduce(lambda a, b: bytes(map(xor, a, b)), packets, bytes(size))
+
+
+def reference_delivery(h, lib, d):
+    """(server signals, mirror signals by mirror, decoded file by user) of
+    ``h`` delivering demand ``d`` from library ``lib``, in transmission order.
+
+    The server sends, for each id outside ``s_m`` in ascending order, the XOR
+    of the demanded packet of every cell carrying it.  Mirror k1 forwards each
+    such id of its block, ascending, with the packets of other blocks at rows
+    it caches XORed out, and then sends each mirror-only id of its block,
+    ascending, from its cache.  A user reads its starred rows from its cache
+    and takes every other row from its mirror's signal for that row's id,
+    XORing out the packets still in it.  Every packet a mirror or a user
+    reads from its cache is asserted to be at a row its grid stars.
+    """
+    size = lib.packet_bytes
+    cells = {}
+    for g, block in enumerate(h.blocks, start=1):
+        for j, row in enumerate(block.grid, start=1):
+            for c, cell in enumerate(row, start=1):
+                if cell != STAR:
+                    cells.setdefault(cell, []).append((g, j, c))
+
+    def packet(g, j, c):
+        return lib.packet(d.demand(g, c), j)
+
+    def mirror_caches(k1, j):
+        return h.mirror.grid[j - 1][k1 - 1] == STAR
+
+    server = [(s, _xor(size, [packet(*cell) for cell in cells[s]])) for s in sorted(set(cells) - h.s_m)]
+    received = dict(server)
+    mirrors, files = {}, {}
+    for k1 in range(1, h.k1 + 1):
+        ids = {s for s, where in cells.items() if any(g == k1 for g, _, _ in where)}
+        mirrors[k1] = [
+            (s, _xor(size, [received[s]] + [packet(g, j, c) for g, j, c in cells[s] if g != k1 and mirror_caches(k1, j)]))
+            for s in sorted(ids - h.s_m)
+        ]
+        for s in sorted(ids & h.s_m):
+            own = [(g, j, c) for g, j, c in cells[s] if g == k1]
+            assert all(mirror_caches(k1, j) for _, j, _ in own)
+            mirrors[k1].append((s, _xor(size, [packet(*cell) for cell in own])))
+        signals = dict(mirrors[k1])
+        grid = h.blocks[k1 - 1].grid
+        for k2 in range(1, h.k2 + 1):
+            rows = []
+            for j, row in enumerate(grid, start=1):
+                s = row[k2 - 1]
+                if s == STAR:
+                    rows.append(packet(k1, j, k2))
+                    continue
+                left = [
+                    (g, jj, c)
+                    for g, jj, c in cells[s]
+                    if (g, jj, c) != (k1, j, k2) and (g == k1 or not mirror_caches(k1, jj))
+                ]
+                assert all(grid[jj - 1][k2 - 1] == STAR for _, jj, _ in left)
+                rows.append(_xor(size, [signals[s]] + [packet(*cell) for cell in left]))
+            files[(k1, k2)] = b"".join(rows)
+    return server, mirrors, files

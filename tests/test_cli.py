@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -260,6 +261,32 @@ def test_simulate_explicit_demand_and_transcript(tmp_path, capsys):
     assert lines[0].startswith("S 1 ")
 
 
+@pytest.mark.parametrize("demand", ["1,2,3,4,5,+6", "1,2,3,4,5,\u0666", "1,,2,3,4,5", "1,2,3,4,5,6_0"])
+def test_simulate_takes_a_demand_in_ascii_digits_only(tmp_path, capsys, demand):
+    # int() would read "+6" and the Arabic-Indic six; an array file may not.
+    path = tmp_path / "g.hpda"
+    path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    assert main(["simulate", str(path), "--files", "6", "--demand", demand]) == 2
+    bad = next(tok for tok in demand.split(",") if not (tok.isascii() and tok.isdigit()))
+    expected = f"error: --demand takes comma-separated integers in ASCII digits, got {bad!r}\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_simulate_refuses_a_demand_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "g.hpda"
+    path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    limit = sys.get_int_max_str_digits()
+    assert main(["simulate", str(path), "--files", "6", "--demand", "1,2,3,4,5," + "6" * (limit + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: --demand takes integers of at most {limit} digits\n")
+
+
+def test_simulate_demand_tokens_may_be_spaced(tmp_path, capsys):
+    path = tmp_path / "g.hpda"
+    path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    assert main(["simulate", str(path), "--files", "6", "--demand", "1, 2,3,4,5 ,6"]) == 0
+    assert capsys.readouterr().out.startswith("success R1=6/15 R2=18/15\n")
+
+
 def test_simulate_too_few_files(tmp_path, capsys):
     path = tmp_path / "g.hpda"
     path.write_text(format_hpda(build_grouping(3, 2, 4)))
@@ -426,6 +453,21 @@ def test_compare_refuses_every_t_before_reading_the_grid_step(capsys, argv, stde
 def test_compare_rejects_non_integer_t(capsys):
     assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "x"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("t", ["+4", "\u00b2", "4,x", "4.0"])
+def test_compare_takes_t_in_ascii_digits_only(capsys, t):
+    assert main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", t]) == 2
+    bad = next(tok for tok in t.split(",") if not (tok.isascii() and tok.isdigit()))
+    assert capsys.readouterr() == ("", f"error: --t takes comma-separated integers in ASCII digits, got {bad!r}\n")
+
+
+def test_compare_skips_blank_t_tokens(capsys):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--grid-step", "1/4", "--t"]
+    assert main([*argv, "4,5"]) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, ",4,, 5 ,"]) == 0
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize(

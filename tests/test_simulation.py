@@ -34,7 +34,8 @@ from hpda import (
     worst_case_demand,
 )
 
-from test_acceptance import _mutate_hpda, grouping_arrays
+from reference import reference_delivery
+from test_acceptance import _mutate_hpda, grouping_arrays, hybrid_pairs
 from test_hpda import golden_15x9
 
 
@@ -487,11 +488,72 @@ def test_library_budget_is_inclusive(monkeypatch):
         FileLibrary.random(3, 4, 8, seed=0)
 
 
+def test_simulate_peaks_below_two_and_a_half_libraries():
+    # simulate holds each packet once, as an int: never its bytes beside it.
+    h = build_grouping(3, 2, 4)
+    delivery_plan(h)
+    library = 6 * h.f * 65536
+    tracemalloc.start()
+    try:
+        result = simulate(h, 6, 65536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.success
+    assert peak < 2.5 * library
+
+
 def test_library_random_is_one_draw_of_the_whole_library():
     for n_files, f, packet_bytes in [(1, 1, 1), (5, 3, 3), (9, 7, 5), (6, 15, 2), (10, 1, 13)]:
         blob = random.Random(77).randbytes(n_files * f * packet_bytes)
         lib = FileLibrary.random(n_files, f, packet_bytes, seed=77)
         assert b"".join(lib.file(n) for n in range(1, n_files + 1)) == blob
+
+
+def criterion_9_arrays():
+    arrays = [h for _, h in grouping_arrays()] + [h for _, h in hybrid_pairs()]
+    assert len(arrays) == 116
+    return arrays
+
+
+def check_against_reference(h, n_files, packet_bytes, d, seed):
+    """simulate, and the public stages run one after another, send and decode
+    what the byte-wise reference does."""
+    lib = FileLibrary.random(n_files, h.f, packet_bytes, seed)
+    server, mirrors, files = reference_delivery(h, lib, d)
+    result = simulate(h, n_files, packet_bytes, d, seed=seed)
+    assert result.success
+    assert result.transcript.server_signals == tuple(server)
+    assert result.transcript.mirror_signals == {k1: tuple(m) for k1, m in mirrors.items()}
+    sent = server_delivery(h, lib, d)
+    assert sent == server
+    cache = place(h, lib)
+    for k1 in range(1, h.k1 + 1):
+        forwarded = mirror_delivery(h, lib, d, k1, sent)
+        assert forwarded == mirrors[k1]
+        for k2 in range(1, h.k2 + 1):
+            decoded = decode_user(h, cache, forwarded, k1, k2, d)
+            assert decoded == files[(k1, k2)] == lib.file(d.demand(k1, k2))
+
+
+@pytest.mark.parametrize("packet_bytes", [1, 3, 64])
+def test_delivery_matches_the_bytewise_reference(packet_bytes):
+    for h in criterion_9_arrays():
+        n = h.k1 * h.k2
+        check_against_reference(h, n, packet_bytes, worst_case_demand(h.k1, h.k2, n), packet_bytes)
+
+
+def test_a_demand_of_repeated_files_matches_the_bytewise_reference():
+    # Fewer files than users: user i asks for file (i mod N) + 1.
+    checked = 0
+    for h in criterion_9_arrays():
+        users = h.k1 * h.k2
+        if users > 1:
+            n = users // 2
+            d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(i % n + 1 for i in range(users)))
+            check_against_reference(h, n, 3, d, seed=users)
+            checked += 1
+    assert checked > 100
 
 
 def test_mirror_delivery_and_simulate_never_place(golden, monkeypatch):
@@ -624,6 +686,22 @@ def _outcome(h, seed):
     except (DecodingError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return "decodes" if result.success else "fails"
+
+
+def test_public_stages_convert_each_packet_once():
+    # A public stage converts the packet of every term its runs hold, so those
+    # terms must be distinct: on every array, or the stage must fail first.
+    rng = random.Random(5)
+    goldens = (golden_15x9(), build_hybrid(mn_pda(2, 1), mn_pda(3, 1)))
+    arrays = [_mutate_hpda(goldens[i % 2], rng) for i in range(200)] + criterion_9_arrays()
+    for h in arrays:
+        plan = delivery_plan(h)
+        assert len(set(plan.server.terms)) == len(plan.server.terms)
+        for mirror in plan.mirrors:
+            read = mirror.strip.terms + mirror.local.terms
+            assert len(set(read)) == len(read)
+            for user in mirror.users:
+                assert user.failure or len(set(user.cancel.terms)) == len(user.cancel.terms)
 
 
 def test_mutant_outcomes_unchanged():

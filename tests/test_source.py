@@ -1,7 +1,7 @@
 """Static checks on the package source: no unused import, no dead private name,
 only relative imports within the package, exit codes decided in ``cli.main``
-alone, and ``compare``'s rows built in ``analysis`` alone; and on the tests'
-reference, which reads only the public API."""
+alone, ``compare``'s rows built in ``analysis`` alone, and every byte order
+named; and on the tests' reference, which reads only the public API."""
 
 import ast
 from pathlib import Path
@@ -183,3 +183,49 @@ def test_analysis_makes_no_float():
             ):
                 found.append(f"analysis.py:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def _unnamed_byte_orders(tree):
+    """Lines of every ``from_bytes``/``to_bytes`` use that leaves the byte
+    order to a default.
+
+    A call passes it positionally or as ``byteorder=``; a conversion mapped
+    over iterables gets an iterable for every argument.  ``int.to_bytes``
+    read from the class takes the int as one more argument.
+    """
+    mapped = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map" and node.args:
+            mapped[id(node.args[0])] = node
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")):
+            continue
+        needed = 3 if ast.unparse(node) == "int.to_bytes" else 2
+        if id(node) in calls:
+            call = calls[id(node)]
+            named = any(keyword.arg == "byteorder" for keyword in call.keywords)
+            if len(call.args) < needed and not named:
+                yield node.lineno
+        elif id(node) not in mapped or len(mapped[id(node)].args) < needed + 1:
+            yield node.lineno
+
+
+def test_every_byte_conversion_names_its_byte_order():
+    # int.from_bytes and int.to_bytes have no default byte order before
+    # Python 3.11, so a call that leaves it out fails only on 3.10.
+    found = [f"{module}:{line}" for module, tree in TREES.items() for line in sorted(_unnamed_byte_orders(tree))]
+    assert found == []
+    assert "from_bytes" in ast.unparse(TREES["simulation.py"]) + ast.unparse(TREES["plan.py"])
+    snippet = (
+        "int.from_bytes(b)\n"
+        "x.to_bytes(8)\n"
+        "int.to_bytes(x, 8)\n"
+        "map(int.from_bytes, bs)\n"
+        "map(int.to_bytes, xs, repeat(8))\n"
+        "f = int.from_bytes\n"
+        "int.from_bytes(b, 'big')\n"
+        "x.to_bytes(8, byteorder='big')\n"
+        "map(int.to_bytes, xs, repeat(8), repeat('big'))\n"
+    )
+    assert sorted(_unnamed_byte_orders(ast.parse(snippet))) == [1, 2, 3, 4, 5, 6]
