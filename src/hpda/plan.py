@@ -2,9 +2,11 @@
 
 The grids alone fix which packets go into each server signal, which of them
 each mirror strips and which each user cancels; the demand only picks the
-files.  :func:`compile_plan` turns an array into that plan once, and the
-plan's own methods execute it for any demand; the public stages in
-:mod:`hpda.simulation` check their inputs and call them.
+files.  :func:`compile_plan` turns an array into that plan once.  One method
+per stage executes it for any demand, on int packets: ``server_signals``,
+``mirror_signals`` and ``decode``.  :meth:`DeliveryPlan.simulate` chains
+them, and the public stages in :mod:`hpda.simulation` call them too,
+converting ``bytes`` only at their boundary, with the helpers here.
 
 A term names one packet of a delivery: term ``((k1 - 1) * K2 + k2 - 1) * F +
 j - 1`` is packet row j of the file that user (k1, k2) demands.  The plan holds
@@ -23,13 +25,14 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, sub, xor
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .grids import _FLIP
 from .simulation import BYTEORDER, DecodingError
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
+    from .simulation import DemandVector, FileLibrary
 
 _CODES = bytes.maketrans(b"\x00\x01", b"\x02\x01")
 
@@ -43,50 +46,49 @@ class Runs(NamedTuple):
     terms: array
 
     def payloads(self, values: Sequence[int]) -> list[int]:
-        """The XOR of each run's packets; ``values[t]`` is term t's packet."""
-        return self.xors(map(values.__getitem__, self.terms))
-
-    def xors(self, packets: Iterable[int]) -> list[int]:
-        """The XOR of each run, ``packets`` giving the packet of every term of
-        every run in order.
+        """The XOR of each run's packets; ``values[t]`` is term t's packet.
 
         One running XOR over all terms gives every run as ``pre[hi] ^
         pre[lo]`` at its bounds, and only the prefixes at bounds are kept.
         """
-        offsets = self.offsets
         marks = bytearray(len(self.terms) + 1)
-        for bound in offsets:
+        for bound in self.offsets:
             marks[bound] = 1
+        packets = map(values.__getitem__, self.terms)
         pre = list(compress(accumulate(packets, xor, initial=0), marks))
-        if len(pre) < len(offsets):  # an empty run shares its bound with the next run
-            pre = list(map(dict(zip(dict.fromkeys(offsets), pre)).__getitem__, offsets))
+        if len(pre) < len(self.offsets):  # an empty run shares its bound with the next run
+            pre = list(map(dict(zip(dict.fromkeys(self.offsets), pre)).__getitem__, self.offsets))
         return list(map(xor, pre[1:], pre))
 
 
-def _ints(packets: Sequence[bytes], terms: Iterable[int]) -> Iterator[int]:
-    """The packet of each term, as an int.  The terms that a public stage
-    converts are distinct: each term has one id, and each id one run in a
-    set of runs; a user whose column repeats an id fails before converting."""
-    return map(int.from_bytes, map(packets.__getitem__, terms), repeat(BYTEORDER))
+class _Ints(dict):
+    """``packets[key]`` as an int, converted when first read, so a public stage
+    converts only what its runs read; a packet not ``size`` bytes is refused."""
+
+    def __init__(self, packets: Mapping[int, bytes] | Sequence[bytes], size: int) -> None:
+        self.packets, self.size = packets, size
+
+    def __missing__(self, key: int) -> int:
+        packet = self.packets[key]
+        if len(packet) != self.size:
+            raise ValueError(f"signal for id {key} has {len(packet)} bytes, expected {self.size}")
+        value = self[key] = int.from_bytes(packet, BYTEORDER)
+        return value
 
 
-def _to_bytes(values: Iterable[int], size: int) -> list[bytes]:
-    return list(map(int.to_bytes, values, repeat(size), repeat(BYTEORDER)))
+def _demanded(lib: FileLibrary, d: DemandVector) -> _Ints:
+    """The int packet of every term, converted when first read."""
+    return _Ints(list(chain.from_iterable(lib.packets[n - 1] for n in d.entries)), lib.packet_bytes)
+
+
+def _wire(signals: Mapping[int, int], size: int) -> list[tuple[int, bytes]]:
+    return [(s, payload.to_bytes(size, BYTEORDER)) for s, payload in signals.items()]
 
 
 def _fold(starts: Iterable[int], runs: Iterable[int]) -> list[int]:
     """Each run's XOR added to its start payload; a run that adds nothing,
     such as an empty one, passes its start on."""
     return [start ^ run if run else start for start, run in zip(starts, runs)]
-
-
-def _fold_bytes(starts: Iterable[bytes], runs: Iterable[int], size: int) -> list[bytes]:
-    """:func:`_fold` on ``size``-byte payloads: a start that passes on is
-    never converted."""
-    return [
-        (int.from_bytes(start, BYTEORDER) ^ run).to_bytes(size, BYTEORDER) if run else start
-        for start, run in zip(starts, runs)
-    ]
 
 
 def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
@@ -122,12 +124,6 @@ class UserPlan(NamedTuple):
     order: array
     failure: str | None
 
-    def rows(self, wanted: Sequence, decoded: list) -> list:
-        """The file's rows in order: cached ones read from ``wanted``, the
-        user's own file, and the ``decoded`` ones."""
-        pieces = list(map(wanted.__getitem__, self.cached_rows)) + decoded
-        return list(map(pieces.__getitem__, self.order))
-
 
 class MirrorPlan(NamedTuple):
     """One mirror's delivery, and its users'.
@@ -152,10 +148,9 @@ class DeliveryPlan(NamedTuple):
     ``failure``, the message of the ``DecodingError`` its method raises.  The
     plan's counts give the loads without building any payload.
 
-    :meth:`simulate` runs on packets drawn as ints.  The other methods serve
-    the public stages: they take ``packets``, the ``bytes`` packet of every
-    term in term order, convert only those their own runs read, and take
-    ``k1``, ``k2``, 1-based indices the caller has checked.
+    Each stage has one executor, its method here.  It takes term t's packet
+    as the int ``values[t]``, signals as ints by id, and 1-based ``k1``,
+    ``k2`` that the caller has checked.
     """
 
     f: int
@@ -178,96 +173,80 @@ class DeliveryPlan(NamedTuple):
             for m in self.mirrors
         )
 
-    def server_signals(self, packets: Sequence[bytes]) -> list[tuple[int, bytes]]:
-        payloads = self.server.xors(_ints(packets, self.server.terms))
-        return list(zip(self.server.ids, _to_bytes(payloads, len(packets[0]))))
+    def server_signals(self, values: Sequence[int]) -> dict[int, int]:
+        return dict(zip(self.server.ids, self.server.payloads(values)))
 
     def mirror_signals(
-        self, k1: int, server_signals: Iterable[tuple[int, bytes]], packets: Sequence[bytes]
-    ) -> list[tuple[int, bytes]]:
+        self, k1: int, received: Mapping[int, int], values: Sequence[int]
+    ) -> dict[int, int]:
+        """Mirror k1's signals by id, in transmission order, from the server's."""
         mirror = self.mirrors[k1 - 1]
-        received = dict(server_signals)
         try:
             starts = list(map(received.__getitem__, mirror.strip.ids))
         except KeyError as exc:
             raise ValueError(f"missing server signal for id {exc.args[0]}") from None
         if mirror.failure:
             raise DecodingError(mirror.failure)
-        size = len(packets[0])
-        strip, local = mirror.strip, mirror.local
-        payloads = _fold_bytes(starts, strip.xors(_ints(packets, strip.terms)), size)
-        payloads += _to_bytes(local.xors(_ints(packets, local.terms)), size)
-        return list(zip(strip.ids + local.ids, payloads))
+        payloads = _fold(starts, mirror.strip.payloads(values)) + mirror.local.payloads(values)
+        return dict(zip(mirror.strip.ids + mirror.local.ids, payloads))
 
     def decode(
         self,
         k1: int,
         k2: int,
-        mirror_signals: Iterable[tuple[int, bytes]],
-        packets: Sequence[bytes],
-        wanted: Sequence[bytes],
+        signals: Mapping[int, int],
+        values: Sequence[int],
+        wanted: Sequence[int],
         held: frozenset[int] | None = None,
-    ) -> bytes:
-        """The file of user (k1, k2), whose own file's packets are ``wanted``.
+    ) -> list[int]:
+        """The rows of user (k1, k2)'s file, from its mirror's ``signals`` by
+        id; ``wanted`` are its own file's packets.
 
         ``held``, if given, are the 1-based rows the user's cache holds; every
         row the plan reads from the cache must be among them.
         """
         user = self.mirrors[k1 - 1].users[k2 - 1]
-        if held is not None:
-            missing = [j + 1 for j in user.cached_rows if j + 1 not in held]
-            if missing:
-                raise DecodingError(f"user ({k1},{k2}) does not cache packet row {missing[0]}")
+        if held is not None and (missing := [j + 1 for j in user.cached_rows if j + 1 not in held]):
+            raise DecodingError(f"user ({k1},{k2}) does not cache packet row {missing[0]}")
         if user.failure:
             raise DecodingError(user.failure)
-        received = dict(mirror_signals)
         try:
-            starts = list(map(received.__getitem__, user.cancel.ids))
+            starts = list(map(signals.__getitem__, user.cancel.ids))
         except KeyError as exc:
             raise DecodingError(f"no signal from mirror {k1} for id {exc.args[0]}") from None
-        runs = user.cancel.xors(_ints(packets, user.cancel.terms))
-        return b"".join(user.rows(wanted, _fold_bytes(starts, runs, len(wanted[0]))))
+        decoded = _fold(starts, user.cancel.payloads(values))
+        pieces = list(map(wanted.__getitem__, user.cached_rows)) + decoded
+        return list(map(pieces.__getitem__, user.order))
 
     def simulate(
         self, files: Sequence[list[int]], entries: Sequence[int], size: int
     ) -> tuple[list[tuple[int, bytes]], dict[int, tuple[tuple[int, bytes], ...]], bool]:
-        """Both delivery rounds, then every user's decode, on int packets.
+        """Both delivery rounds, then every user's decode, by the stage methods.
 
-        ``files`` holds each file's packets as a list of ints, and ``entries``
-        the file each user demands, in term order.  Signals stay ints from stage to
-        stage, and only the transcript's become ``bytes``.  Returns the
-        server's signals, each mirror's, and whether every user rebuilt its
-        file.  Failures raise as the public stages would, run in order.
+        ``files`` holds each file's packets as ints, and ``entries`` the file
+        each user demands.  Returns the server's signals, each mirror's, and
+        whether every user rebuilt its file.  Only the returned signals are
+        ``bytes``.  Failures raise as the public stages would, run in order.
         """
         wanted = [files[n - 1] for n in entries]
         values = list(chain.from_iterable(wanted))
-        server = self.server.payloads(values)
-        received = dict(zip(self.server.ids, server))
-        sent = dict(zip(self.server.ids, _to_bytes(server, size)))
+        received = self.server_signals(values)
+        sent = dict(_wire(received, size))
         failure = next(filter(None, (m.failure for m in self.mirrors)), None)
         if failure:
             raise DecodingError(failure)
         # Mirror by mirror, so that only one mirror's int signals are held.
         success, mirrors, k2 = True, {}, len(self.mirrors[0].users)
-        for k1, mirror in enumerate(self.mirrors, start=1):
-            strip, local = mirror.strip, mirror.local
-            runs = strip.payloads(values)
-            payloads = _fold(map(received.__getitem__, strip.ids), runs) + local.payloads(values)
-            signals = dict(zip(strip.ids + local.ids, payloads))
-            theirs = wanted[(k1 - 1) * k2 : k1 * k2]
-            success = success and all(map(_rebuilt, mirror.users, repeat(signals), repeat(values), theirs))
-            wire = _fold_bytes(map(sent.__getitem__, strip.ids), runs, size)
-            wire += _to_bytes(payloads[len(runs) :], size)
-            mirrors[k1] = tuple(zip(strip.ids + local.ids, wire))
+        for k1 in range(1, len(self.mirrors) + 1):
+            signals = self.mirror_signals(k1, received, values)
+            users = enumerate(wanted[(k1 - 1) * k2 : k1 * k2], start=1)
+            success = success and all(self.decode(k1, c, signals, values, f) == f for c, f in users)
+            # A signal equal to the server's (its strip run is 0) reuses the server's bytes.
+            mirrors[k1] = tuple(
+                (s, sent[s] if received.get(s) == payload else payload.to_bytes(size, BYTEORDER))
+                for s, payload in signals.items()
+            )
         return list(sent.items()), mirrors, success
-
-
-def _rebuilt(user: UserPlan, signals: dict[int, int], values: Sequence[int], file: list[int]) -> bool:
-    """Whether the user, decoding from its mirror's ``signals``, rebuilds ``file``."""
-    if user.failure:
-        raise DecodingError(user.failure)
-    runs = user.cancel.payloads(values)
-    return user.rows(file, _fold(map(signals.__getitem__, user.cancel.ids), runs)) == file
 
 
 def compile_plan(h: Hpda) -> DeliveryPlan:

@@ -4,7 +4,7 @@ Every signal is a byte-wise XOR of library packets.  The grids alone fix which
 packets each signal combines; the demand only picks the files.  So each array
 is compiled once, on its first delivery, into a delivery plan of packet terms
 (:mod:`hpda.plan`), which executes itself.  The stages below check their
-inputs and call the plan.
+inputs and call the plan's stage methods, converting at their boundary.
 
 Caches are honest: a receiver may only combine packets at rows its placement
 grid starred.  The plan checks every term once, when it is built, and the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
@@ -41,9 +41,7 @@ class DecodingError(RuntimeError):
     """A receiver needed a packet it neither cached nor could cancel."""
 
 
-def _draw(n_files: int, f: int, packet_bytes: int, seed: int) -> Iterator[Iterator[bytes]]:
-    """The packets of each seeded file, sliced from the drawn bytes; consume
-    each file before the next.  The dimensions are checked before any draw."""
+def _check_dimensions(n_files: int, f: int, packet_bytes: int) -> None:
     if min(n_files, f, packet_bytes) < 1:
         raise ValueError("library dimensions must be positive")
     size = n_files * f * packet_bytes
@@ -52,6 +50,12 @@ def _draw(n_files: int, f: int, packet_bytes: int, seed: int) -> Iterator[Iterat
             f"library of {n_files} files x {f} packets x {packet_bytes} bytes"
             f" has {_size(size)} bytes, more than {_MAX_LIBRARY_BYTES}"
         )
+
+
+def _draw(n_files: int, f: int, packet_bytes: int, seed: int) -> Iterator[Iterator[bytes]]:
+    """The packets of each seeded file, sliced from the drawn bytes; consume
+    each file before the next.  The dimensions are checked before any draw."""
+    _check_dimensions(n_files, f, packet_bytes)
     rng = random.Random(seed)
     # Drawn four files at a time, which bounds the transient blob.  The bytes
     # equal one draw of the whole library: randbytes consumes whole 32-bit
@@ -113,7 +117,7 @@ class DemandVector:
             raise ValueError(
                 f"expected {self.k1 * self.k2} demands, got {len(self.entries)}"
             )
-        if any(not isinstance(d, int) or d < 1 for d in self.entries):
+        if any(type(d) is not int or d < 1 for d in self.entries):
             raise ValueError("demands must be positive file indices")
 
     def demand(self, k1: int, k2: int) -> int:
@@ -182,11 +186,6 @@ def _check_inputs(h: Hpda, d: DemandVector, n_files: int, f: int) -> None:
         raise ValueError(f"demand index {max(d.entries)} exceeds library size {n_files}")
 
 
-def _demanded(lib: FileLibrary, d: DemandVector) -> list[bytes]:
-    """The packet of every term, in term order."""
-    return list(chain.from_iterable(lib.packets[n - 1] for n in d.entries))
-
-
 def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
     """One multicast per id the mirrors cannot serve alone, ascending by id.
 
@@ -194,7 +193,8 @@ def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[in
     (demanded file of that cell's user, cell's row).
     """
     _check_inputs(h, d, lib.n_files, lib.f)
-    return delivery_plan(h).server_signals(_demanded(lib, d))
+    from .plan import _demanded, _wire
+    return _wire(delivery_plan(h).server_signals(_demanded(lib, d)), lib.packet_bytes)
 
 
 def mirror_delivery(
@@ -214,7 +214,9 @@ def mirror_delivery(
     _check_inputs(h, d, lib.n_files, lib.f)
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
-    return delivery_plan(h).mirror_signals(k1, server_signals, _demanded(lib, d))
+    from .plan import _demanded, _Ints, _wire
+    received = _Ints(dict(server_signals), lib.packet_bytes)
+    return _wire(delivery_plan(h).mirror_signals(k1, received, _demanded(lib, d)), lib.packet_bytes)
 
 
 def decode_user(
@@ -235,10 +237,13 @@ def decode_user(
     lib = cache.library
     _check_inputs(h, d, lib.n_files, lib.f)
     wanted = lib.packets[d.demand(k1, k2) - 1]  # d has the array's shape, so this checks k1, k2
+    from .plan import _demanded, _Ints
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.
     held = cache.user_rows.get((k1, k2), frozenset())
-    return delivery_plan(h).decode(k1, k2, mirror_signals, _demanded(lib, d), wanted, held)
+    signals, wanted = _Ints(dict(mirror_signals), lib.packet_bytes), _Ints(wanted, lib.packet_bytes)
+    rows = delivery_plan(h).decode(k1, k2, signals, _demanded(lib, d), wanted, held)
+    return b"".join(row.to_bytes(lib.packet_bytes, BYTEORDER) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -299,10 +304,11 @@ def simulate(
     """
     if d is None:
         d = worst_case_demand(h.k1, h.k2, n_files)
+    _check_dimensions(n_files, h.f, packet_bytes)
+    _check_inputs(h, d, n_files, h.f)  # before a library that a bad demand would waste is drawn
     # Each packet becomes an int as it is drawn; no bytes of it are kept.
     drawn = _draw(n_files, h.f, packet_bytes, seed)
     files = [list(map(int.from_bytes, rows, repeat(BYTEORDER))) for rows in drawn]
-    _check_inputs(h, d, n_files, h.f)
     server, mirrors, success = delivery_plan(h).simulate(files, d.entries, packet_bytes)
     transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
     return SimulationResult(transcript=transcript, r1=transcript.r1, r2=transcript.r2, success=success)

@@ -12,6 +12,7 @@ import hpda.analysis
 import hpda.cli
 import hpda.grids
 import hpda.hierarchy
+import hpda.simulation
 from hpda import build_grouping, format_hpda, load_hpda, mn_pda, parse_pda, save_pda
 from hpda.cli import main
 from hpda.pda import InvalidArrayError
@@ -291,6 +292,17 @@ def test_simulate_too_few_files(tmp_path, capsys):
     path = tmp_path / "g.hpda"
     path.write_text(format_hpda(build_grouping(3, 2, 4)))
     assert main(["simulate", str(path), "--files", "5"]) == 2
+
+
+def test_simulate_refuses_a_demand_beyond_the_library_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the library was drawn")
+
+    monkeypatch.setattr(hpda.simulation, "_draw", no_draw)
+    path = tmp_path / "g.hpda"
+    path.write_text(format_hpda(build_grouping(3, 2, 4)))
+    assert main(["simulate", str(path), "--files", "6", "--demand", "1,2,3,4,5,7"]) == 2
+    assert capsys.readouterr() == ("", "error: demand index 7 exceeds library size 6\n")
 
 
 def test_compare_golden_point(capsys):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -261,6 +262,27 @@ def test_decode_rejects_cache_placed_for_another_array():
         decode_user(h, cache, signals, 1, 2, d)
 
 
+@pytest.mark.parametrize("stage", ["mirror", "user"])
+@pytest.mark.parametrize("size", [3, 5])
+def test_stages_refuse_a_signal_of_another_size(stage, size):
+    # Unchecked, a long signal raised a bare OverflowError and a short one
+    # came out as a mix of 3- and 4-byte signals.
+    h = build_grouping(3, 2, 4)
+    lib = FileLibrary.random(6, h.f, 4, seed=5)
+    d = worst_case_demand(3, 2, 6)
+    signals = server_delivery(h, lib, d)
+    if stage == "user":
+        signals = mirror_delivery(h, lib, d, 1, signals)
+    resized = [(s, (payload * 2)[:size]) for s, payload in signals]
+    with pytest.raises(ValueError, match=rf"^signal for id \d+ has {size} bytes, expected 4$") as info:
+        if stage == "mirror":
+            mirror_delivery(h, lib, d, 1, resized)
+        else:
+            decode_user(h, place(h, lib), resized, 1, 1, d)
+    named = int(str(info.value).split()[3])
+    assert named in dict(signals)
+
+
 def test_decode_fails_loudly_without_signals(golden):
     h, lib, d = golden
     cache = place(h, lib)
@@ -345,6 +367,8 @@ def test_demand_vector_validation():
         DemandVector(k1=2, k2=2, entries=(1, 2, 3))
     with pytest.raises(ValueError):
         DemandVector(k1=1, k2=2, entries=(1, 0))
+    with pytest.raises(ValueError, match="^demands must be positive file indices$"):
+        DemandVector(k1=1, k2=2, entries=(True, 2))
     d = DemandVector(k1=2, k2=3, entries=(4, 5, 6, 1, 2, 3))
     assert d.demand(1, 1) == 4
     assert d.demand(2, 3) == 3
@@ -369,6 +393,23 @@ def test_simulate_rejects_small_library(golden):
     h, _, _ = golden
     with pytest.raises(ValueError):
         simulate(h, 5, 8, seed=0)
+
+
+def test_simulate_checks_the_demand_before_drawing(golden, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the library was drawn")
+
+    monkeypatch.setattr(hpda.simulation, "_draw", no_draw)
+    h, _, _ = golden
+    with pytest.raises(ValueError, match="^demand index 7 exceeds library size 6$"):
+        simulate(h, 6, 64, DemandVector(k1=3, k2=2, entries=(1, 2, 3, 4, 5, 7)))
+    with pytest.raises(ValueError, match=r"^demand shape \(2,3\) != array shape \(3,2\)$"):
+        simulate(h, 6, 64, DemandVector(k1=2, k2=3, entries=(1,) * 6))
+    # The library's dimensions are still checked first, as before.
+    with pytest.raises(ValueError, match="^library dimensions must be positive$"):
+        simulate(h, 6, 0, DemandVector(k1=3, k2=2, entries=(1, 2, 3, 4, 5, 7)))
+    with pytest.raises(ValueError, match="^library of 6 files x 15 packets x 4194304 bytes"):
+        simulate(h, 6, 1 << 22, DemandVector(k1=3, k2=2, entries=(1, 2, 3, 4, 5, 7)))
 
 
 def test_transcript_dump_format(golden):
@@ -584,6 +625,21 @@ def test_plan_compiled_once_per_array(monkeypatch):
     assert delivery_plan(h) is delivery_plan(h)
 
 
+def test_simulate_runs_each_stage_through_its_one_executor(monkeypatch):
+    calls = Counter()
+    for name in ("server_signals", "mirror_signals", "decode"):
+        method = getattr(hpda.plan.DeliveryPlan, name)
+
+        def counting(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(hpda.plan.DeliveryPlan, name, counting)
+    h = build_grouping(3, 2, 4)
+    assert simulate(h, 6, 8, seed=1).success
+    assert calls == {"server_signals": 1, "mirror_signals": h.k1, "decode": h.k1 * h.k2}
+
+
 def grid_term_count(h):
     """Packets XORed by the server, the mirrors and the users, counted from
     the grids with the delivery rules alone."""
@@ -702,6 +758,33 @@ def test_public_stages_convert_each_packet_once():
             assert len(set(read)) == len(read)
             for user in mirror.users:
                 assert user.failure or len(set(user.cancel.terms)) == len(user.cancel.terms)
+
+
+def test_simulate_forwards_an_unstripped_server_signal_as_its_bytes(golden):
+    # A mirror signal equal to the server's is the server's bytes object, so
+    # the transcript holds its payload once.
+    h, _, d = golden
+    t = simulate(h, 6, 8, d, seed=1).transcript
+    server = dict(t.server_signals)
+    forwarded = [(p, server[s]) for m in t.mirror_signals.values() for s, p in m if server.get(s) == p]
+    assert len(forwarded) == 6
+    assert all(payload is sent for payload, sent in forwarded)
+
+
+def test_public_stages_convert_only_the_packets_they_read(golden, monkeypatch):
+    h, lib, d = golden
+    plan, converted, demanded = delivery_plan(h), [], hpda.plan._demanded
+
+    def keeping(*args):
+        converted.append(demanded(*args))
+        return converted[-1]
+
+    monkeypatch.setattr(hpda.plan, "_demanded", keeping)
+    signals = mirror_delivery(h, lib, d, 1, server_delivery(h, lib, d))
+    decode_user(h, place(h, lib), signals, 1, 1, d)
+    mirror = plan.mirrors[0]
+    read = (plan.server.terms, mirror.strip.terms + mirror.local.terms, mirror.users[0].cancel.terms)
+    assert [sorted(values) for values in converted] == [sorted(terms) for terms in read]
 
 
 def test_mutant_outcomes_unchanged():

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused import, no dead private name,
 only relative imports within the package, exit codes decided in ``cli.main``
-alone, ``compare``'s rows built in ``analysis`` alone, and every byte order
-named; and on the tests' reference, which reads only the public API."""
+alone, ``compare``'s rows built in ``analysis`` alone, every byte order named
+and every delivery XOR in one place; and on the tests' reference, which reads
+only the public API."""
 
 import ast
 from pathlib import Path
@@ -229,3 +230,44 @@ def test_every_byte_conversion_names_its_byte_order():
         "map(int.to_bytes, xs, repeat(8), repeat('big'))\n"
     )
     assert sorted(_unnamed_byte_orders(ast.parse(snippet))) == [1, 2, 3, 4, 5, 6]
+
+
+def _xors(node, scope=""):
+    """(scope, line) of every XOR under ``node``: each ``^`` or ``^=`` and
+    each read of the name ``xor``, where scope is the dotted name of the
+    enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.BitXor):
+            yield scope, child.lineno
+        elif isinstance(child, ast.Name) and child.id == "xor" and isinstance(child.ctx, ast.Load):
+            yield scope, child.lineno
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _xors(child, inner)
+
+
+def test_every_delivery_xors_in_one_place():
+    # Every stage takes its runs from the one running XOR in Runs.payloads and
+    # adds each run to its start in _fold, so a second XOR path cannot come
+    # back unnoticed.
+    sites = {f"{module}:{scope}" for module, tree in TREES.items() for scope, _ in _xors(tree)}
+    assert sites == {"plan.py:Runs.payloads", "plan.py:_fold"}
+    def running(tree):
+        """The ``accumulate`` and ``reduce`` calls over ``xor`` under ``tree``."""
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("accumulate", "reduce")
+            and "xor" in map(ast.unparse, node.args)
+        ]
+
+    payloads = next(
+        node
+        for node in ast.walk(TREES["plan.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "payloads"
+    )
+    assert sum(len(running(tree)) for tree in TREES.values()) == len(running(payloads)) == 1
+    snippet = "class A:\n    def f(self):\n        return a ^ b\ndef g():\n    x ^= 1\n    reduce(xor, xs)\n"
+    assert list(_xors(ast.parse(snippet))) == [("A.f", 3), ("g", 5), ("g", 6)]
