@@ -31,11 +31,16 @@ Rate = Callable[[Rational, int], Fraction]
 
 def _fraction(value: Rational) -> Fraction:
     """Exact conversion; floats go through their shortest decimal repr so that
-    a literal like 2.4 means 12/5, not its binary approximation."""
+    a literal like 2.4 means 12/5, not its binary approximation.  Text with over
+    100 digits, or 2 in its exponent, is refused: Fraction("1e-N") builds 10**N."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(str(value))
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        if sum(map(str.isdigit, mantissa)) > 100 or sum(map(str.isdigit, exponent)) > 2:
+            raise ValueError(f"{value!r} has more than 100 digits, or more than 2 in its exponent")
     return Fraction(value)
 
 
@@ -186,9 +191,10 @@ def search_min_r1(
 
     Returns the grid point minimizing R1; ties break by smaller R2, then by
     lexicographic (alpha, beta).  With q the step's denominator, every grid
-    value is an integer over q, so R1 is scanned as an exact unreduced integer
-    pair (scaled by q) compared by cross-multiplication; R2 is computed only
-    where R1 ties or beats the best so far.
+    value is an integer over q, so R1 and R2 are scanned as exact unreduced
+    integer pairs (scaled by q) compared by cross-multiplication, R2 only
+    where R1 ties or beats the best so far.  The argmin and its loads become
+    Fractions once, from the best point's integers, after the scan.
 
     At each alpha, R1 and R2 are piecewise linear in beta, so only the beta
     ticks bracketing a breakpoint, and both ends, are evaluated: on each
@@ -213,37 +219,39 @@ def search_min_r1(
     m1n, m1d = p.m1.numerator, p.m1.denominator
     m2n, m2d = p.m2.numerator, p.m2.denominator
     wwcy = formula == "wwcy"
-    best_n, best_d = 1, 0  # +infinity, so the first point is always taken
-    best: tuple[SplitPoint, Fraction, Fraction] | None = None
+    # The best q*R1 and q*R2 pairs and (a, b); +infinity, so the first point is taken.
+    best = (1, 0, 1, 0, 0, 0)
     for a in ticks:
         # q*R1 = a*head*mid + (q-a)*tail.  head = r_c(M1/(aN), K1) depends on alpha
         # only; mid is K2 for KNMD and r_c(b*M2/(aN), K2) for WWCY.
         hn, hd = _rc_terms(m1n * q, m1d * a * n, k1) if a else (0, 1)
         # The ticks on either side of each breakpoint of R1 and R2 in b, at tick
-        # index x/den: b*M2/(aN) = j/K2 and (q-b)*M2/((q-a)N) = j/(K1K2).  With
-        # M2 = 0 there is none, and both ends remain.
+        # index x/den: b*M2/(aN) = j/K2 and (q-b)*M2/((q-a)N) = j/(K1K2), and both
+        # ends, onto which a cut outside (0, last) would clamp.  With M2 = 0 there is none.
         columns: Iterable[int] = range(axis)
         if 2 * (k2 + kk + 2) < axis:
             den = kk * m2n * sn
             xs = [j * a * n * m2d * k1 for j in range(k2 + 1)]
             xs += [q * kk * m2n - j * (q - a) * n * m2d for j in range(kk + 1)]
-            cuts = (min(max(i, 0), last) for x in xs for i in (x // den, -(-x // den)))
-            columns = sorted({0, last, *(cuts if m2n else ())})
+            cuts = {i for x in xs for i in (x // den, -(-x // den)) if 0 < i < last} if m2n else ()
+            columns = [0, *sorted(cuts), last]
         for b in map(ticks.__getitem__, columns):
             mn, md = _rc_terms(b * m2n, m2d * a * n, k2) if wwcy and a else (k2, 1)
             tn, td = _rc_terms((q - b) * m2n, m2d * (q - a) * n, kk) if a < q else (0, 1)
-            num = a * hn * mn * td + (q - a) * tn * hd * md
-            den = hd * md * td
-            lhs, rhs = num * best_d, best_n * den
+            num, den = a * hn * mn * td + (q - a) * tn * hd * md, hd * md * td
+            lhs, rhs = num * best[1], best[0] * den
             if lhs > rhs:
                 continue
-            point = SplitPoint(alpha=Fraction(a, q), beta=Fraction(b, q))
-            r2 = _r2(p, point)
-            if lhs < rhs or r2 < best[2]:
-                best_n, best_d = num, den
-                best = (point, Fraction(num, den * q), r2)
-    assert best is not None
-    return best
+            # q*R2 = a*r_c(b*M2/(aN), K2) + (q-a)*r_c((q-b)*M2/((q-a)N), K2): WWCY's
+            # mid, then R1's tail over K2 users.
+            if a and not wwcy:
+                mn, md = _rc_terms(b * m2n, m2d * a * n, k2)
+            un, ud = _rc_terms((q - b) * m2n, m2d * (q - a) * n, k2) if a < q else (0, 1)
+            r2n, r2d = a * mn * ud + (q - a) * un * md, md * ud
+            if lhs < rhs or r2n * best[3] < best[2] * r2d:
+                best = (num, den, r2n, r2d, a, b)
+    num, den, r2n, r2d, a, b = best
+    return SplitPoint(Fraction(a, q), Fraction(b, q)), Fraction(num, den * q), Fraction(r2n, r2d * q)
 
 
 def lower_bound_r1(p: SystemParams) -> Fraction:
@@ -290,13 +298,13 @@ def compare_sweep(
     construction, the hybrid fed matched MN arrays (infeasible if none exist),
     both baselines at alpha = beta = 1 and at their least R1 on the grid of
     ``grid_step`` (``_GRID_STEP`` when None; "-search"), and the per-layer
-    optima ("bound"); sorted by (t, scheme).  Every closed form, and so any
-    refusal of a t, comes before the step is read and any search runs.
+    optima ("bound"); sorted by (t, scheme), each distinct t once.  Every closed
+    form, and so any refusal of a t, comes before the step is read and any search runs.
     """
     whole = SplitPoint(alpha=Fraction(1), beta=Fraction(1))
     rows: list[ComparisonRow] = []
     searches: list[tuple[int, Fraction, Fraction, SystemParams]] = []
-    for t in t_range:
+    for t in dict.fromkeys(t_range):
         loads, _, _ = grouping_params(k1, k2, t)
         m1r, m2r = loads.m1_ratio, loads.m2_ratio
         params = SystemParams(k1=k1, k2=k2, n_files=n, m1=m1r * n, m2=m2r * n)

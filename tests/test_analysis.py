@@ -312,6 +312,18 @@ def test_search_visits_each_rows_least_point(monkeypatch):
             assert (a * 40, least[2] * 40) in visited, (formula, p, a)
 
 
+def test_search_visits_each_rows_ticks_once_in_ascending_order(monkeypatch):
+    # The update rule keeps the exhaustive scan's tie-breaks only in the scan's
+    # order: alpha by alpha, each beta tick once, ascending.  Both systems have
+    # rows with cuts at tick index -1, which clamp to the first tick.
+    cases = [(EXAMPLE_PARAMS, Fraction(1, 40)), (SystemParams(4, 5, 7, Fraction(10, 3), Fraction(9, 4)), Fraction(2, 109))]
+    for p, step in cases:
+        for formula, fn in (("knmd", knmd_loads), ("wwcy", wwcy_loads)):
+            (point, r1, r2), visited = _visited(monkeypatch, formula, p, step)
+            assert visited == sorted(set(visited)), (formula, p)
+            assert (point.alpha, point.beta, r1, r2) == _naive_search(fn, p, step)
+
+
 def test_search_tie_breaks():
     full = SystemParams(3, 2, 6, 6, 6)
     # R1 = 0 wherever beta <= alpha, but R2 = 0 only on the diagonal: smaller R2
@@ -323,6 +335,29 @@ def test_search_tie_breaks():
     empty = SystemParams(3, 2, 6, 0, 0)
     for formula in ("knmd", "wwcy"):
         assert search_min_r1(formula, empty, Fraction(1, 4)) == (SplitPoint(0, 0), 6, 2)
+
+
+def test_search_makes_one_split_point_and_no_fraction_r2(monkeypatch):
+    # The scan runs on integers: no _r2 call, and one SplitPoint per search,
+    # the argmin's, built after it.
+    made = []
+    post_init = SplitPoint.__post_init__
+
+    def counting(point):
+        made.append(point)
+        post_init(point)
+
+    def refuse(*args):
+        raise AssertionError("_r2 called")
+
+    monkeypatch.setattr(SplitPoint, "__post_init__", counting)
+    monkeypatch.setattr(hpda.analysis, "_r2", refuse)
+    argmin = SplitPoint(Fraction(47, 100), 0)
+    for formula in ("knmd", "wwcy"):
+        made.clear()
+        result = search_min_r1(formula, EXAMPLE_PARAMS, Fraction(1, 100))
+        assert result == (argmin, Fraction(267, 500), Fraction(361, 300))
+        assert made == [argmin]
 
 
 def _rc_reference(m, k):

@@ -396,6 +396,53 @@ def test_compare_rejects_grid_beyond_bound(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("step", ["1e-100000000", "1e-10000000", "1e-5000", "1e-400"])
+def test_compare_refuses_a_huge_step_exponent_from_its_text(capsys, step):
+    # Fraction would expand each of these into 10**N digits, or hang, before
+    # the axis bound could refuse it.
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4", "--grid-step", step]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {step!r} has more than 100 digits, or more than 2 in its exponent\n")
+    assert "set_int_max_str_digits" not in err
+
+
+# (scheme, r1, r2, alpha, beta) of the search rows of compare --k1 3 --k2 2
+# --n 6 --t 4 at each step.
+STEP_GOLDEN_ROWS = {
+    "1e-4": [
+        ("knmd-search", "26667/50000", "36001/30000", "4667/10000", "0"),
+        ("wwcy-search", "26667/50000", "36001/30000", "4667/10000", "0"),
+    ],
+    "2/7": [
+        ("knmd-search", "97/175", "137/105", "4/7", "0"),
+        ("wwcy-search", "97/175", "137/105", "4/7", "0"),
+    ],
+    "0.01": [(row[0], *row[4:6], *row[8:]) for row in COMPARE_GOLDEN_ROWS if row[1] == 4 and row[8]],
+}
+STEP_GOLDEN_ROWS["1/100"] = STEP_GOLDEN_ROWS["0.01"]
+
+
+@pytest.mark.parametrize("step", sorted(STEP_GOLDEN_ROWS))
+def test_compare_keeps_the_search_rows_of_a_short_step_text(capsys, step):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "4", "--format", "json"]
+    assert main([*argv, "--grid-step", step]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    keys = ("scheme", "r1", "r2", "alpha", "beta")
+    assert [tuple(row[k] for k in keys) for row in rows if row["alpha"]] == STEP_GOLDEN_ROWS[step]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_compare_takes_a_repeated_t_once(capsys, fmt):
+    argv = ["compare", "--k1", "3", "--k2", "2", "--n", "6", "--format", fmt, "--t"]
+    assert main([*argv, "4,5"]) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "4,4,5,4"]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_compare_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv("HPDA_FORMAT", "json")
     rc = main(["compare", "--k1", "3", "--k2", "2", "--n", "6", "--t", "", "--grid-step", "1"])

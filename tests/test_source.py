@@ -1,8 +1,8 @@
 """Static checks on the package source: no unused import, no dead private name,
 only relative imports within the package, exit codes decided in ``cli.main``
-alone, ``compare``'s rows built in ``analysis`` alone, every byte order named
-and every delivery XOR in one place; and on the tests' reference, which reads
-only the public API."""
+alone, ``compare``'s rows built in ``analysis`` alone, a grid search whose
+loops build no ``Fraction``, every byte order named and every delivery XOR in
+one place; and on the tests' reference, which reads only the public API."""
 
 import ast
 from pathlib import Path
@@ -271,3 +271,29 @@ def test_every_delivery_xors_in_one_place():
     assert sum(len(running(tree)) for tree in TREES.values()) == len(running(payloads)) == 1
     snippet = "class A:\n    def f(self):\n        return a ^ b\ndef g():\n    x ^= 1\n    reduce(xor, xs)\n"
     assert list(_xors(ast.parse(snippet))) == [("A.f", 3), ("g", 5), ("g", 6)]
+
+
+def _calls_in_loops(function):
+    """(line, name) of every call of ``Fraction``, ``SplitPoint`` or ``_r2``
+    under a ``for`` loop of ``function``."""
+    return {
+        (node.lineno, ast.unparse(node.func))
+        for loop in ast.walk(function)
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("Fraction", "SplitPoint", "_r2")
+    }
+
+
+def test_the_grid_search_loops_on_integers_only():
+    # search_min_r1 builds its Fractions and its SplitPoint once, after the
+    # scan, from the best point's integers.
+    search = next(
+        node
+        for node in TREES["analysis.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "search_min_r1"
+    )
+    assert _calls_in_loops(search) == set()
+    assert "SplitPoint(" in ast.unparse(search)
+    snippet = "def f():\n    for a in x:\n        for b in y:\n            _r2(p, SplitPoint(a, b))\n    return Fraction(1)\n"
+    assert sorted(_calls_in_loops(ast.parse(snippet).body[0])) == [(4, "SplitPoint"), (4, "_r2")]
