@@ -106,7 +106,7 @@ def _integers(text: str, option: str, skip_blank: bool = False) -> list[int]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     h = load_hpda(args.path)
     d = None  # simulate's default: every user requests a distinct file
-    if args.demand:
+    if args.demand is not None:
         d = DemandVector(k1=h.k1, k2=h.k2, entries=tuple(_integers(args.demand, "--demand")))
     result = simulate(h, args.files, args.packet_bytes, d, seed=args.seed)
     t = result.transcript

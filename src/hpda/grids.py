@@ -262,7 +262,7 @@ def hpda_violations(h: Hpda) -> list[Violation]:
                 Violation("B2", (g + 1, *v.coords), f"block {g + 1}: {v.condition}: {v.message}")
             )
     spans = dict(zip(occ.ids, zip(occ.offsets, occ.offsets[1:])))
-    for s in sorted(h.s_m):
+    for s in sorted(h.s_m - mirror_only_ids(occ, f, k2)):  # ids it holds break no B3 rule
         lo, hi = spans.get(s, (0, 0))
         run = occ.terms[lo:hi]
         owners = {t // kf for t in run}

@@ -175,6 +175,8 @@ def mn_pda(k: int, t: int) -> Pda:
     T | {c} among the (t+1)-subsets.  The result is a
     (k, C(k,t), C(k-1,t-1), C(k,t+1)) array.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if not 1 <= t <= k:
         raise ValueError(f"t must be in [1, {k}], got {t}")
     rows = _mn_rows(k, t)  # the budget check comes before any closed form

@@ -4,9 +4,9 @@ The grids alone fix which packets go into each server signal, which of them
 each mirror strips and which each user cancels; the demand only picks the
 files.  :func:`compile_plan` turns an array into that plan once.  One method
 per stage executes it for any demand, on int packets: ``server_signals``,
-``mirror_signals`` and ``decode``.  :meth:`DeliveryPlan.simulate` chains
-them, and the public stages in :mod:`hpda.simulation` call them too,
-converting ``bytes`` only at their boundary, with the helpers here.
+``mirror_signals`` and ``decode``.  Packets and signals are ints here alone;
+:mod:`hpda.simulation` converts them from and to ``bytes`` and chains the
+stages.
 
 A term names one packet of a delivery: term ``((k1 - 1) * K2 + k2 - 1) * F +
 j - 1`` is packet row j of the file that user (k1, k2) demands.  The plan holds
@@ -28,11 +28,10 @@ from operator import itemgetter, sub, xor
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .grids import _FLIP
-from .simulation import BYTEORDER, DecodingError
+from .simulation import DecodingError
 
 if TYPE_CHECKING:
     from .hierarchy import Hpda
-    from .simulation import DemandVector, FileLibrary
 
 _CODES = bytes.maketrans(b"\x00\x01", b"\x02\x01")
 
@@ -59,30 +58,6 @@ class Runs(NamedTuple):
         if len(pre) < len(self.offsets):  # an empty run shares its bound with the next run
             pre = list(map(dict(zip(dict.fromkeys(self.offsets), pre)).__getitem__, self.offsets))
         return list(map(xor, pre[1:], pre))
-
-
-class _Ints(dict):
-    """``packets[key]`` as an int, converted when first read, so a public stage
-    converts only what its runs read; a packet not ``size`` bytes is refused."""
-
-    def __init__(self, packets: Mapping[int, bytes] | Sequence[bytes], size: int) -> None:
-        self.packets, self.size = packets, size
-
-    def __missing__(self, key: int) -> int:
-        packet = self.packets[key]
-        if len(packet) != self.size:
-            raise ValueError(f"signal for id {key} has {len(packet)} bytes, expected {self.size}")
-        value = self[key] = int.from_bytes(packet, BYTEORDER)
-        return value
-
-
-def _demanded(lib: FileLibrary, d: DemandVector) -> _Ints:
-    """The int packet of every term, converted when first read."""
-    return _Ints(list(chain.from_iterable(lib.packets[n - 1] for n in d.entries)), lib.packet_bytes)
-
-
-def _wire(signals: Mapping[int, int], size: int) -> list[tuple[int, bytes]]:
-    return [(s, payload.to_bytes(size, BYTEORDER)) for s, payload in signals.items()]
 
 
 def _fold(starts: Iterable[int], runs: Iterable[int]) -> list[int]:
@@ -173,6 +148,11 @@ class DeliveryPlan(NamedTuple):
             for m in self.mirrors
         )
 
+    @property
+    def mirror_failure(self) -> str | None:
+        """The failure of the first mirror that cannot deliver, if any."""
+        return next(filter(None, (m.failure for m in self.mirrors)), None)
+
     def server_signals(self, values: Sequence[int]) -> dict[int, int]:
         return dict(zip(self.server.ids, self.server.payloads(values)))
 
@@ -217,36 +197,6 @@ class DeliveryPlan(NamedTuple):
         decoded = _fold(starts, user.cancel.payloads(values))
         pieces = list(map(wanted.__getitem__, user.cached_rows)) + decoded
         return list(map(pieces.__getitem__, user.order))
-
-    def simulate(
-        self, files: Sequence[list[int]], entries: Sequence[int], size: int
-    ) -> tuple[list[tuple[int, bytes]], dict[int, tuple[tuple[int, bytes], ...]], bool]:
-        """Both delivery rounds, then every user's decode, by the stage methods.
-
-        ``files`` holds each file's packets as ints, and ``entries`` the file
-        each user demands.  Returns the server's signals, each mirror's, and
-        whether every user rebuilt its file.  Only the returned signals are
-        ``bytes``.  Failures raise as the public stages would, run in order.
-        """
-        wanted = [files[n - 1] for n in entries]
-        values = list(chain.from_iterable(wanted))
-        received = self.server_signals(values)
-        sent = dict(_wire(received, size))
-        failure = next(filter(None, (m.failure for m in self.mirrors)), None)
-        if failure:
-            raise DecodingError(failure)
-        # Mirror by mirror, so that only one mirror's int signals are held.
-        success, mirrors, k2 = True, {}, len(self.mirrors[0].users)
-        for k1 in range(1, len(self.mirrors) + 1):
-            signals = self.mirror_signals(k1, received, values)
-            users = enumerate(wanted[(k1 - 1) * k2 : k1 * k2], start=1)
-            success = success and all(self.decode(k1, c, signals, values, f) == f for c, f in users)
-            # A signal equal to the server's (its strip run is 0) reuses the server's bytes.
-            mirrors[k1] = tuple(
-                (s, sent[s] if received.get(s) == payload else payload.to_bytes(size, BYTEORDER))
-                for s, payload in signals.items()
-            )
-        return list(sent.items()), mirrors, success
 
 
 def compile_plan(h: Hpda) -> DeliveryPlan:

@@ -3,8 +3,10 @@
 Every signal is a byte-wise XOR of library packets.  The grids alone fix which
 packets each signal combines; the demand only picks the files.  So each array
 is compiled once, on its first delivery, into a delivery plan of packet terms
-(:mod:`hpda.plan`), which executes itself.  The stages below check their
-inputs and call the plan's stage methods, converting at their boundary.
+(:mod:`hpda.plan`), which executes each stage on ints.  This module owns the
+wire format: the stages below check their inputs, convert packets and signals
+between ``bytes`` and ints, and call the plan's stage methods;
+:func:`simulate` chains them.
 
 Caches are honest: a receiver may only combine packets at rows its placement
 grid starred.  The plan checks every term once, when it is built, and the
@@ -19,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .hierarchy import Hpda
 from .pda import _size, _write_text
@@ -186,6 +188,30 @@ def _check_inputs(h: Hpda, d: DemandVector, n_files: int, f: int) -> None:
         raise ValueError(f"demand index {max(d.entries)} exceeds library size {n_files}")
 
 
+class _Ints(dict):
+    """``packets[key]`` as an int, converted when first read, so a public stage
+    converts only what its runs read; a packet not ``size`` bytes is refused."""
+
+    def __init__(self, packets: Mapping[int, bytes] | Sequence[bytes], size: int) -> None:
+        self.packets, self.size = packets, size
+
+    def __missing__(self, key: int) -> int:
+        packet = self.packets[key]
+        if len(packet) != self.size:
+            raise ValueError(f"signal for id {key} has {len(packet)} bytes, expected {self.size}")
+        value = self[key] = int.from_bytes(packet, BYTEORDER)
+        return value
+
+
+def _demanded(lib: FileLibrary, d: DemandVector) -> _Ints:
+    """The int packet of every term, converted when first read."""
+    return _Ints(list(chain.from_iterable(lib.packets[n - 1] for n in d.entries)), lib.packet_bytes)
+
+
+def _wire(signals: Mapping[int, int], size: int) -> list[tuple[int, bytes]]:
+    return [(s, payload.to_bytes(size, BYTEORDER)) for s, payload in signals.items()]
+
+
 def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[int, bytes]]:
     """One multicast per id the mirrors cannot serve alone, ascending by id.
 
@@ -193,7 +219,6 @@ def server_delivery(h: Hpda, lib: FileLibrary, d: DemandVector) -> list[tuple[in
     (demanded file of that cell's user, cell's row).
     """
     _check_inputs(h, d, lib.n_files, lib.f)
-    from .plan import _demanded, _wire
     return _wire(delivery_plan(h).server_signals(_demanded(lib, d)), lib.packet_bytes)
 
 
@@ -214,7 +239,6 @@ def mirror_delivery(
     _check_inputs(h, d, lib.n_files, lib.f)
     if not 1 <= k1 <= h.k1:
         raise ValueError(f"mirror index {k1} outside [1, {h.k1}]")
-    from .plan import _demanded, _Ints, _wire
     received = _Ints(dict(server_signals), lib.packet_bytes)
     return _wire(delivery_plan(h).mirror_signals(k1, received, _demanded(lib, d)), lib.packet_bytes)
 
@@ -237,7 +261,6 @@ def decode_user(
     lib = cache.library
     _check_inputs(h, d, lib.n_files, lib.f)
     wanted = lib.packets[d.demand(k1, k2) - 1]  # d has the array's shape, so this checks k1, k2
-    from .plan import _demanded, _Ints
     # The plan checked every row the user reads against its grid; the cache
     # handed in must hold those rows too.
     held = cache.user_rows.get((k1, k2), frozenset())
@@ -300,7 +323,10 @@ def simulate(
     """Run both delivery rounds from the array's plan, then decode every user.
 
     The library is seeded pseudo-random; ``success`` means every user
-    reconstructed its requested file byte for byte.
+    reconstructed its requested file byte for byte.  The plan's stage methods
+    run mirror by mirror, on int packets, and only the transcript's signals
+    become ``bytes``.  Failures raise as the public stages would, run in
+    order: every mirror's failure before any user's.
     """
     if d is None:
         d = worst_case_demand(h.k1, h.k2, n_files)
@@ -309,6 +335,23 @@ def simulate(
     # Each packet becomes an int as it is drawn; no bytes of it are kept.
     drawn = _draw(n_files, h.f, packet_bytes, seed)
     files = [list(map(int.from_bytes, rows, repeat(BYTEORDER))) for rows in drawn]
-    server, mirrors, success = delivery_plan(h).simulate(files, d.entries, packet_bytes)
-    transcript = Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors)
+    plan = delivery_plan(h)
+    wanted = [files[n - 1] for n in d.entries]
+    values = list(chain.from_iterable(wanted))
+    received = plan.server_signals(values)
+    sent = dict(_wire(received, packet_bytes))
+    if plan.mirror_failure:
+        raise DecodingError(plan.mirror_failure)
+    # Mirror by mirror, so that only one mirror's int signals are held.
+    success, mirrors = True, {}
+    for k1 in range(1, h.k1 + 1):
+        signals = plan.mirror_signals(k1, received, values)
+        users = enumerate(wanted[(k1 - 1) * h.k2 : k1 * h.k2], start=1)
+        success = success and all(plan.decode(k1, c, signals, values, f) == f for c, f in users)
+        # A signal equal to the server's (its strip run is 0) reuses the server's bytes.
+        mirrors[k1] = tuple(
+            (s, sent[s] if received.get(s) == payload else payload.to_bytes(packet_bytes, BYTEORDER))
+            for s, payload in signals.items()
+        )
+    transcript = Transcript(f=h.f, server_signals=tuple(sent.items()), mirror_signals=mirrors)
     return SimulationResult(transcript=transcript, r1=transcript.r1, r2=transcript.r2, success=success)

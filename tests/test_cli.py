@@ -262,7 +262,7 @@ def test_simulate_explicit_demand_and_transcript(tmp_path, capsys):
     assert lines[0].startswith("S 1 ")
 
 
-@pytest.mark.parametrize("demand", ["1,2,3,4,5,+6", "1,2,3,4,5,\u0666", "1,,2,3,4,5", "1,2,3,4,5,6_0"])
+@pytest.mark.parametrize("demand", ["1,2,3,4,5,+6", "1,2,3,4,5,\u0666", "1,,2,3,4,5", "1,2,3,4,5,6_0", ""])
 def test_simulate_takes_a_demand_in_ascii_digits_only(tmp_path, capsys, demand):
     # int() would read "+6" and the Arabic-Indic six; an array file may not.
     path = tmp_path / "g.hpda"

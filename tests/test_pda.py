@@ -60,6 +60,13 @@ def test_mn_pda_rejects_bad_t():
         mn_pda(3, 4)
 
 
+@pytest.mark.parametrize("k", [0, -5])
+def test_mn_pda_rejects_k_below_1_before_t(k):
+    # t = 1 is in no range [1, k] here: the fault is k's.
+    with pytest.raises(ValueError, match=rf"^k must be positive, got {k}$"):
+        mn_pda(k, 1)
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_mn_pda_verifies_for_all_t(k):
     for t in range(1, k + 1):

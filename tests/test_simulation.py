@@ -23,6 +23,7 @@ from hpda import (
     Hpda,
     MirrorPlacement,
     Pda,
+    Transcript,
     build_grouping,
     build_hybrid,
     decode_user,
@@ -773,13 +774,13 @@ def test_simulate_forwards_an_unstripped_server_signal_as_its_bytes(golden):
 
 def test_public_stages_convert_only_the_packets_they_read(golden, monkeypatch):
     h, lib, d = golden
-    plan, converted, demanded = delivery_plan(h), [], hpda.plan._demanded
+    plan, converted, demanded = delivery_plan(h), [], hpda.simulation._demanded
 
     def keeping(*args):
         converted.append(demanded(*args))
         return converted[-1]
 
-    monkeypatch.setattr(hpda.plan, "_demanded", keeping)
+    monkeypatch.setattr(hpda.simulation, "_demanded", keeping)
     signals = mirror_delivery(h, lib, d, 1, server_delivery(h, lib, d))
     decode_user(h, place(h, lib), signals, 1, 1, d)
     mirror = plan.mirrors[0]
@@ -794,3 +795,47 @@ def test_mutant_outcomes_unchanged():
         _outcome(_mutate_hpda(goldens[i % 2], rng), i) for i in range(len(MUTANT_OUTCOMES))
     )
     assert outcomes == MUTANT_OUTCOMES
+
+
+def _result_or_error(run):
+    try:
+        return run()
+    except (DecodingError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _staged(h, n_files, packet_bytes, seed):
+    """simulate's transcript and success, from the public stages run in order:
+    the server, every mirror, then user by user up to the first wrong file."""
+    lib = FileLibrary.random(n_files, h.f, packet_bytes, seed)
+    d = worst_case_demand(h.k1, h.k2, n_files)
+    server = server_delivery(h, lib, d)
+    mirrors = {k1: tuple(mirror_delivery(h, lib, d, k1, server)) for k1 in range(1, h.k1 + 1)}
+    cache = place(h, lib)
+    success = all(
+        decode_user(h, cache, mirrors[k1], k1, k2, d) == lib.file(d.demand(k1, k2))
+        for k1 in range(1, h.k1 + 1)
+        for k2 in range(1, h.k2 + 1)
+    )
+    return Transcript(f=h.f, server_signals=tuple(server), mirror_signals=mirrors), success
+
+
+def test_simulate_fails_as_the_public_stages_run_in_order():
+    # simulate chains the plan's stage methods itself; on every mutant it must
+    # raise, send and decode exactly as the public stages do.  No single
+    # mutant fails at a user and at a later mirror, so each is mutated once
+    # more too: then every mirror's failure must come before any user's.
+    rng = random.Random(5)
+    goldens = (golden_15x9(), build_hybrid(mn_pda(2, 1), mn_pda(3, 1)))
+    singles = [_mutate_hpda(goldens[i % 2], rng) for i in range(200)]
+    raised = Counter()
+    for i, h in enumerate(singles + [_mutate_hpda(h, rng) for h in singles]):
+        n = h.k1 * h.k2
+        result = _result_or_error(lambda: simulate(h, n, 4, seed=i))
+        staged = _result_or_error(lambda: _staged(h, n, 4, i))
+        if isinstance(result, str):
+            assert result == staged
+            raised[result.split(" ", 2)[1]] += 1
+        else:
+            assert (result.transcript, result.success) == staged
+    assert raised["mirror"] and raised["user"]  # both kinds of receiver fail somewhere

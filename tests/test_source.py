@@ -232,6 +232,28 @@ def test_every_byte_conversion_names_its_byte_order():
     assert sorted(_unnamed_byte_orders(ast.parse(snippet))) == [1, 2, 3, 4, 5, 6]
 
 
+def _imported_from(tree, module):
+    """Every name that ``tree`` imports from the package's ``module``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+    }
+
+
+def test_only_the_simulation_converts_packets():
+    # The plan compiles and executes on ints; hpda.simulation alone turns
+    # packets and signals into ints and back, and reaches into the plan only
+    # for its compiler.
+    wire = {"from_bytes", "to_bytes", "BYTEORDER"}
+    plan = _reads(TREES["plan.py"]) | {name for _, _, name in _imports(TREES["plan.py"])}
+    assert plan & wire == set()
+    assert wire <= _reads(TREES["simulation.py"])
+    assert _imported_from(TREES["plan.py"], "simulation") == {"DecodingError"}
+    assert _imported_from(TREES["simulation.py"], "plan") == {"DeliveryPlan", "compile_plan"}
+
+
 def _xors(node, scope=""):
     """(scope, line) of every XOR under ``node``: each ``^`` or ``^=`` and
     each read of the name ``xor``, where scope is the dotted name of the
